@@ -250,6 +250,10 @@ int run(int argc, char** argv) {
   const auto metrics_cycles = static_cast<Cycle>(
       flags.get_int("metrics-cycles", 5'000, "smoke-mode measured cycles"));
   if (flags.finish()) return 0;
+  if (router != "bless" && router != "buffered") {
+    std::cerr << "cycle_loop: unknown --router '" << router << "' (want bless | buffered)\n";
+    return 2;
+  }
   if (!metrics.empty()) {
     return run_metrics(metrics, topology, side, depth, topo_file, router, shards,
                        metrics_cycles);

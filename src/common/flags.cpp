@@ -1,8 +1,9 @@
 #include "common/flags.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
+#include <system_error>
 #include <thread>
 
 namespace nocsim {
@@ -42,23 +43,52 @@ void Flags::note(const std::string& name, const std::string& def, const std::str
   help_lines_.push_back("  --" + name + " (default " + def + "): " + desc);
 }
 
+void Flags::bad_value(const std::string& name, const std::string& value) const {
+  std::fprintf(stderr, "%s: bad value for --%s: %s\n", program_.c_str(), name.c_str(),
+               value.c_str());
+  std::exit(2);
+}
+
+namespace {
+
+/// Parse all of `s` as a T; nullopt if any character is left over, the
+/// text is not a number (leading spaces and '+' included) or out of range.
+template <typename T>
+std::optional<T> parse_whole(const std::string& s) {
+  T out{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return out;
+}
+
+}  // namespace
+
 std::int64_t Flags::get_int(const std::string& name, std::int64_t def, const std::string& desc) {
   note(name, std::to_string(def), desc);
   const auto v = raw(name);
-  return v ? std::stoll(*v) : def;
+  if (!v) return def;
+  const auto parsed = parse_whole<std::int64_t>(*v);
+  if (!parsed) bad_value(name, *v);
+  return *parsed;
 }
 
 double Flags::get_double(const std::string& name, double def, const std::string& desc) {
   note(name, std::to_string(def), desc);
   const auto v = raw(name);
-  return v ? std::stod(*v) : def;
+  if (!v) return def;
+  const auto parsed = parse_whole<double>(*v);
+  if (!parsed) bad_value(name, *v);
+  return *parsed;
 }
 
 bool Flags::get_bool(const std::string& name, bool def, const std::string& desc) {
   note(name, def ? "true" : "false", desc);
   const auto v = raw(name);
   if (!v) return def;
-  return *v == "true" || *v == "1" || *v == "yes";
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  bad_value(name, *v);
 }
 
 std::string Flags::get_string(const std::string& name, const std::string& def,

@@ -2,7 +2,8 @@
 //
 // Accepted syntax: --name=value, --name value, and bare --flag (bool true).
 // Unknown flags abort with a usage message listing registered flags, so every
-// bench is self-documenting via --help.
+// bench is self-documenting via --help. A value that does not parse in full
+// (`--cycles banana`, `--rate 0.5x`, `--profile maybe`) exits with status 2.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,8 @@ class Flags {
  private:
   std::optional<std::string> raw(const std::string& name);
   void note(const std::string& name, const std::string& def, const std::string& desc);
+  /// Print "bad value for --name: value" and exit 2, like an unknown flag.
+  [[noreturn]] void bad_value(const std::string& name, const std::string& value) const;
 
   std::string program_;
   std::map<std::string, std::string> values_;

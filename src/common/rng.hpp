@@ -93,6 +93,21 @@ class Rng {
   /// Bernoulli trial.
   bool next_bool(double p) { return next_double() < p; }
 
+  /// Integer form of next_bool(p) for a fixed p: with t =
+  /// bernoulli_threshold(p), next_bool_below(t) draws the same bits and
+  /// returns the same outcome as next_bool(p), with one integer compare
+  /// in place of a conversion and a multiply. next_double() is m * 2^-53
+  /// for the integer m = next_u64() >> 11, so m * 2^-53 < p holds exactly
+  /// when m < p * 2^53, i.e. when m < ceil(p * 2^53) (m is an integer).
+  bool next_bool_below(std::uint64_t threshold) { return (next_u64() >> 11) < threshold; }
+
+  /// ceil(p * 2^53), clamped to [0, 2^53]; NaN maps to 0 (never true).
+  static std::uint64_t bernoulli_threshold(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+  }
+
   /// Exponential with given rate lambda (mean 1/lambda).
   double next_exponential(double lambda) {
     NOCSIM_DCHECK(lambda > 0);

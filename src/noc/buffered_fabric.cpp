@@ -1,9 +1,7 @@
 #include "noc/buffered_fabric.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 
 namespace nocsim {
 
@@ -11,8 +9,6 @@ BufferedFabric::BufferedFabric(const Topology& topo, int router_latency, int lin
                                NodeId table_cap)
     : Fabric(topo, router_latency, link_latency, table_cap),
       nodes_(topo.num_nodes()),
-      wheel_(static_cast<std::size_t>(hop_latency_) + 1),
-      credit_wheel_(2),
       work_words_(word_count(topo.num_nodes()), 0) {
   vc_classes_ = topo.has_wrap();
   for (NodeId n = 0; n < topo.num_nodes(); ++n) {
@@ -42,6 +38,7 @@ BufferedFabric::BufferedFabric(const Topology& topo, int router_latency, int lin
                      "irregular topology: routing tables form a cyclic channel "
                      "dependency graph (wormhole deadlock possible)");
   }
+  rebuild_links();
 }
 
 int BufferedFabric::route_port(NodeId n, NodeId dst) const {
@@ -65,30 +62,98 @@ std::uint8_t BufferedFabric::next_vc_state(NodeId n, int op, std::uint8_t vc_sta
   return state;
 }
 
-void BufferedFabric::begin_cycle(Cycle now) {
-  NOCSIM_CHECK_MSG(last_begun_ != now, "begin_cycle called twice for one cycle");
-  last_begun_ = now;
-
-  // Deliver link arrivals into downstream FIFOs.
-  auto& slot = wheel_[now % wheel_.size()];
-  for (const LinkArrival& a : slot) {
-    auto& vc = nodes_[a.node].in_vc[a.port][a.vc];
-    NOCSIM_CHECK_MSG(vc.fifo.size() < kVcDepth, "credit protocol violated: FIFO overflow");
-    vc.fifo.push_back(a.h, a.p);
-    ++nodes_[a.node].flits_buffered;
-    ++stats_.buffer_writes;
-    work_words_[static_cast<std::size_t>(a.node) >> 6] |= std::uint64_t{1} << (a.node & 63);
+void BufferedFabric::rebuild_links() {
+  const ShardPlan* lp = plan_;  // null = serial: one tile spanning every node
+  const std::size_t t = lp != nullptr ? static_cast<std::size_t>(lp->tiles()) : 1;
+  const auto tile_of = [lp](NodeId n) {
+    return lp != nullptr ? static_cast<std::size_t>(lp->tile_of(n)) : std::size_t{0};
+  };
+  // Ring bounds per tile: directed links landing in it (arrivals) and
+  // leaving it (credits travel back to the link's source). Outbox bounds
+  // per (src, dst) pair: the directed links crossing between them.
+  std::vector<std::uint32_t> in_links(t, 0), out_links(t, 0), cross(t * t, 0);
+  for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
+    const std::size_t src = tile_of(n);
+    for (int d = 0; d < kNumDirs; ++d) {
+      const NodeId nb = nodes_[static_cast<std::size_t>(n)].nbr[d];
+      if (nb == kInvalidNode) continue;
+      const std::size_t dst = tile_of(nb);
+      ++out_links[src];
+      ++in_links[dst];
+      if (dst != src) ++cross[src * t + dst];
+    }
   }
-  slot.clear();
+  std::size_t on_links = 0;
+  for (const TileLinks& tl : tile_links_) {
+    tl.arrivals.for_each([&on_links](const LinkArrival&) { ++on_links; });
+    tl.credits.for_each([&on_links](const CreditReturn&) { ++on_links; });
+  }
+  NOCSIM_CHECK_MSG(in_network_ == 0 && on_links == 0,
+                   "fabric layout rebuilt with flits or credits in flight");
 
-  // Deliver credit returns.
-  auto& credits = credit_wheel_[now % credit_wheel_.size()];
-  for (const CreditReturn& c : credits) {
+  const std::size_t arr_slots = static_cast<std::size_t>(hop_latency_) + 1;
+  tile_links_.clear();
+  tile_links_.resize(t);
+  arenas_.clear();
+  arenas_.resize(t);
+  for (std::size_t s = 0; s < t; ++s) {
+    std::size_t bytes = LinkRing<LinkArrival>::layout_bytes(arr_slots, in_links[s]) +
+                        LinkRing<CreditReturn>::layout_bytes(2, out_links[s]);
+    for (std::size_t d = 0; d < t; ++d) {
+      bytes += Arena::lane_bytes<LinkArrival>(cross[s * t + d]);
+      bytes += Arena::lane_bytes<CreditReturn>(cross[s * t + d]);
+    }
+    Arena& arena = arenas_[s];
+    arena.reserve(bytes);
+    TileLinks& tl = tile_links_[s];
+    tl.arrivals.carve(arena, arr_slots, in_links[s]);
+    tl.credits.carve(arena, 2, out_links[s]);
+    tl.out_arr.resize(t);
+    tl.out_cred.resize(t);
+    for (std::size_t d = 0; d < t; ++d) {
+      const std::uint32_t cap = cross[s * t + d];
+      tl.out_arr[d] = {arena.alloc_array<LinkArrival>(cap), 0, cap};
+      tl.out_cred[d] = {arena.alloc_array<CreditReturn>(cap), 0, cap};
+    }
+  }
+}
+
+template <bool Sharded>
+void BufferedFabric::deliver(Cycle now, int tile) {
+  TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
+  std::uint64_t writes = 0;
+  tl.arrivals.drain(now, [&](const LinkArrival& a) {
+    NOCSIM_SHARD_CHECK_WRITE(a.node, "fifo delivery (deliver)");
+    NodeState& st = nodes_[a.node];
+    st.in_vc[a.port][a.vc].fifo.push_back(a.h, a.p);
+    st.occ |= occ_bit(a.port, a.vc);
+    ++writes;
+    const std::uint64_t bit = std::uint64_t{1} << (a.node & 63);
+    std::uint64_t& word = work_words_[static_cast<std::size_t>(a.node) >> 6];
+    if constexpr (Sharded) {
+      std::atomic_ref<std::uint64_t>(word).fetch_or(bit, std::memory_order_relaxed);
+    } else {
+      word |= bit;
+    }
+  });
+  tl.credits.drain(now, [&](const CreditReturn& c) {
+    NOCSIM_SHARD_CHECK_WRITE(c.node, "credit delivery (deliver)");
     auto& count = nodes_[c.node].credits[c.dir][c.vc];
     NOCSIM_CHECK_MSG(count < kVcDepth, "credit overflow");
     ++count;
+  });
+  if constexpr (Sharded) {
+    shard_tiles_[static_cast<std::size_t>(tile)].buffer_writes += writes;
+  } else {
+    stats_.buffer_writes += writes;
   }
-  credits.clear();
+}
+
+void BufferedFabric::begin_cycle(Cycle now) {
+  NOCSIM_CHECK_MSG(plan_ == nullptr, "serial begin_cycle on a sharded fabric");
+  NOCSIM_CHECK_MSG(last_begun_ != now, "begin_cycle called twice for one cycle");
+  last_begun_ = now;
+  deliver<false>(now, 0);
 }
 
 bool BufferedFabric::can_accept(NodeId n) const {
@@ -102,69 +167,26 @@ bool BufferedFabric::can_accept(NodeId n) const {
 
 std::uint32_t BufferedFabric::oldest_inflight_inject_cycle() const {
   // Between cycles every in-flight flit is either buffered in a VC FIFO or
-  // riding a link (an arrival wheel slot — serial wheel_ or a tile's wheel
-  // when sharded; outboxes are drained within the cycle). Credits carry no
-  // flits.
+  // riding a link (a tile's arrival ring; outboxes are drained within the
+  // cycle). Credits carry no flits.
   std::uint32_t oldest = kNoInflight;
   const auto fold = [&oldest](std::uint32_t ic) {
     if (ic < oldest) oldest = ic;
   };
   for (const NodeState& st : nodes_) {
-    if (st.flits_buffered == 0) continue;
+    if (st.occ == 0) continue;
     for (const auto& port : st.in_vc) {
       for (const VcState& vc : port) fold(vc.fifo.min_inject_cycle());
     }
   }
-  for (const auto& slot : wheel_) {
-    for (const LinkArrival& a : slot) fold(a.h.inject_cycle);
-  }
-  for (const TileLinks& tl : tile_links_) {
-    for (const auto& slot : tl.wheel) {
-      for (const LinkArrival& a : slot) fold(a.h.inject_cycle);
-    }
-  }
+  for (const TileLinks& tl : tile_links_)
+    tl.arrivals.for_each([&fold](const LinkArrival& a) { fold(a.h.inject_cycle); });
   return oldest;
 }
 
 void BufferedFabric::set_shard_plan(const ShardPlan* plan) {
   Fabric::set_shard_plan(plan);
-  tile_links_.clear();
-  arenas_.clear();
-  if (plan != nullptr) {
-    const auto t = static_cast<std::size_t>(plan->tiles());
-    // Directed cross-tile link counts bound the outboxes: at most one flit
-    // and one credit cross each directed link per cycle (a credit for the
-    // flit node n received from nbr travels the same n -> nbr link).
-    std::vector<std::uint32_t> cross(t * t, 0);
-    for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
-      const auto src = static_cast<std::size_t>(plan->tile_of(n));
-      for (int d = 0; d < kNumDirs; ++d) {
-        const NodeId nb = nodes_[static_cast<std::size_t>(n)].nbr[d];
-        if (nb == kInvalidNode) continue;
-        const auto dst = static_cast<std::size_t>(plan->tile_of(nb));
-        if (dst != src) ++cross[src * t + dst];
-      }
-    }
-    tile_links_.resize(t);
-    arenas_.resize(t);
-    for (std::size_t s = 0; s < t; ++s) {
-      std::size_t bytes = 0;
-      for (std::size_t d = 0; d < t; ++d) {
-        bytes += Arena::lane_bytes<LinkArrival>(cross[s * t + d]);
-        bytes += Arena::lane_bytes<CreditReturn>(cross[s * t + d]);
-      }
-      arenas_[s].reserve(bytes);
-      TileLinks& tl = tile_links_[s];
-      tl.wheel.resize(static_cast<std::size_t>(hop_latency_) + 1);
-      tl.out_arr.resize(t);
-      tl.out_cred.resize(t);
-      for (std::size_t d = 0; d < t; ++d) {
-        const std::uint32_t cap = cross[s * t + d];
-        tl.out_arr[d] = ArrBox{arenas_[s].alloc_array<LinkArrival>(cap), 0, cap};
-        tl.out_cred[d] = CredBox{arenas_[s].alloc_array<CreditReturn>(cap), 0, cap};
-      }
-    }
-  }
+  rebuild_links();
 }
 
 void BufferedFabric::shard_begin(Cycle now) {
@@ -176,30 +198,7 @@ void BufferedFabric::shard_begin(Cycle now) {
 
 void BufferedFabric::shard_deliver(Cycle now, int tile) {
   NOCSIM_PHASE("deliver");
-  TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
-  ShardTile& ts = shard_tiles_[static_cast<std::size_t>(tile)];
-
-  auto& slot = tl.wheel[now % tl.wheel.size()];
-  for (const LinkArrival& a : slot) {
-    NOCSIM_SHARD_CHECK_WRITE(a.node, "fifo delivery (shard_deliver)");
-    auto& vc = nodes_[a.node].in_vc[a.port][a.vc];
-    NOCSIM_CHECK_MSG(vc.fifo.size() < kVcDepth, "credit protocol violated: FIFO overflow");
-    vc.fifo.push_back(a.h, a.p);
-    ++nodes_[a.node].flits_buffered;
-    ++ts.buffer_writes;
-    std::atomic_ref<std::uint64_t>(work_words_[static_cast<std::size_t>(a.node) >> 6])
-        .fetch_or(std::uint64_t{1} << (a.node & 63), std::memory_order_relaxed);
-  }
-  slot.clear();
-
-  auto& credits = tl.credit[now % tl.credit.size()];
-  for (const CreditReturn& c : credits) {
-    NOCSIM_SHARD_CHECK_WRITE(c.node, "credit delivery (shard_deliver)");
-    auto& count = nodes_[c.node].credits[c.dir][c.vc];
-    NOCSIM_CHECK_MSG(count < kVcDepth, "credit overflow");
-    ++count;
-  }
-  credits.clear();
+  deliver<true>(now, tile);
 }
 
 void BufferedFabric::shard_route(Cycle now, int tile) {
@@ -207,7 +206,7 @@ void BufferedFabric::shard_route(Cycle now, int tile) {
   // step()'s worklist walk restricted to this tile's bits; boundary words
   // are shared between tiles, so loads, clears, and the carried-over
   // "still busy" OR go through std::atomic_ref. No tile sets another
-  // tile's work bits during this phase (arrivals land in wheels/outboxes).
+  // tile's work bits during this phase (arrivals land in rings/outboxes).
   const std::size_t whi = plan_->word_hi(tile);
   for (std::size_t w = plan_->word_lo(tile); w < whi; ++w) {
     const std::uint64_t mask = plan_->word_mask(tile, w);
@@ -224,9 +223,9 @@ void BufferedFabric::shard_route(Cycle now, int tile) {
       bits &= bits - 1;
       const auto n = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
       if (pending_inject_[n].requested) accept_injection<true>(now, n, tile);
-      if (nodes_[n].flits_buffered != 0) {
+      if (nodes_[n].occ != 0) {
         route_node<true>(now, n, tile);
-        if (nodes_[n].flits_buffered != 0) still |= std::uint64_t{1} << (n & 63);
+        if (nodes_[n].occ != 0) still |= std::uint64_t{1} << (n & 63);
       }
     } while (bits != 0);
     if (still != 0) work.fetch_or(still, std::memory_order_relaxed);
@@ -236,24 +235,23 @@ void BufferedFabric::shard_route(Cycle now, int tile) {
 void BufferedFabric::shard_exchange(Cycle now, int tile) {
   NOCSIM_PHASE("exchange");
   // Collect arrivals and credits other tiles routed toward this tile into
-  // its own wheels. Same-slot entries address distinct FIFOs / credit
+  // its own rings. Same-slot entries address distinct FIFOs / credit
   // counters, so the src-tile visit order is immaterial.
   TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
-  const std::size_t aslot = (now + static_cast<Cycle>(hop_latency_)) % tl.wheel.size();
-  const std::size_t cslot = (now + 1) % tl.credit.size();
+  const Cycle arrive_at = now + static_cast<Cycle>(hop_latency_);
   for (TileLinks& src : tile_links_) {
-    ArrBox& abox = src.out_arr[static_cast<std::size_t>(tile)];
+    auto& abox = src.out_arr[static_cast<std::size_t>(tile)];
     for (std::uint32_t i = 0; i < abox.count; ++i) {
       const LinkArrival& a = abox.slots[i];
       NOCSIM_SHARD_CHECK_WRITE(a.node, "halo arrival apply (shard_exchange)");
-      tl.wheel[aslot].push_back(a);
+      tl.arrivals.push(arrive_at, a);
     }
     abox.count = 0;
-    CredBox& cbox = src.out_cred[static_cast<std::size_t>(tile)];
+    auto& cbox = src.out_cred[static_cast<std::size_t>(tile)];
     for (std::uint32_t i = 0; i < cbox.count; ++i) {
       const CreditReturn& c = cbox.slots[i];
       NOCSIM_SHARD_CHECK_WRITE(c.node, "halo credit apply (shard_exchange)");
-      tl.credit[cslot].push_back(c);
+      tl.credits.push(now + 1, c);
     }
     cbox.count = 0;
   }
@@ -291,10 +289,8 @@ void BufferedFabric::accept_injection(Cycle now, NodeId n, int tile) {
   }
   if (f.flit_idx + 1 == f.packet_len) st.inj_alloc_valid = false;
 
-  auto& fifo = st.in_vc[static_cast<int>(Dir::Local)][vc].fifo;
-  NOCSIM_CHECK_MSG(fifo.size() < kVcDepth, "injection FIFO overflow");
-  fifo.push_back(header_of(f), payload_of(f));
-  ++st.flits_buffered;
+  st.in_vc[static_cast<int>(Dir::Local)][vc].fifo.push_back(header_of(f), payload_of(f));
+  st.occ |= occ_bit(static_cast<int>(Dir::Local), vc);
   if constexpr (Sharded) {
     ShardTile& ts = shard_tiles_[static_cast<std::size_t>(tile)];
     ++ts.net_delta;
@@ -328,9 +324,9 @@ void BufferedFabric::step(Cycle now) {
       bits &= bits - 1;
       const auto n = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
       if (pending_inject_[n].requested) accept_injection<false>(now, n, 0);
-      if (nodes_[n].flits_buffered != 0) {
+      if (nodes_[n].occ != 0) {
         route_node<false>(now, n, 0);
-        if (nodes_[n].flits_buffered != 0) still |= std::uint64_t{1} << (n & 63);
+        if (nodes_[n].occ != 0) still |= std::uint64_t{1} << (n & 63);
       }
     } while (bits != 0);
     work_words_[w] = still;
@@ -341,43 +337,62 @@ template <bool Sharded>
 void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
   NOCSIM_SHARD_CHECK_WRITE(n, "router state (route_node)");
   auto& st = nodes_[n];
+  TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
   [[maybe_unused]] ShardTile* const ts =
       Sharded ? &shard_tiles_[static_cast<std::size_t>(tile)] : nullptr;
-  (void)tile;
 
-  // Gather switch-allocation candidates: head flits of non-empty input VCs.
-  // Only the header lane of each FIFO head is touched here; the cold payload
-  // lane is read once per granted flit below.
+  // Gather switch-allocation candidates: the head flits of the occupied
+  // input VCs, insertion-sorted oldest first as they arrive. age_key() is
+  // older_than() extended by the (port, vc) tie-break, so the order is
+  // pinned and independent of any library sort. older_than() alone is a
+  // strict total order over distinct in-flight flits, so that tie-break is
+  // unreachable in practice; it keeps the grant order fully specified.
+  // Only the header lane of each FIFO head is touched here; the cold
+  // payload lane is read once per granted flit below.
   struct Candidate {
+    AgeKey key;
     std::uint8_t port, vc, out_port;
-    const FlitHeader* hdr;
   };
   std::array<Candidate, kInPorts * kVcs> cands;
   int num_cands = 0;
-  for (int p = 0; p < kInPorts; ++p) {
-    for (int v = 0; v < kVcs; ++v) {
-      const auto& vc = st.in_vc[p][v];
-      if (vc.fifo.empty()) continue;
-      const FlitHeader& h = vc.fifo.front_header();
-      const int op = vc.alloc_valid ? vc.alloc_op : route_port(n, h.dst);
-      cands[num_cands++] = {static_cast<std::uint8_t>(p), static_cast<std::uint8_t>(v),
-                            static_cast<std::uint8_t>(op), &h};
-    }
+  for (std::uint32_t occ = st.occ; occ != 0; occ &= occ - 1) {
+    const int bit = std::countr_zero(occ);
+    const int p = bit / kVcs;
+    const int v = bit % kVcs;
+    const VcState& vcs = st.in_vc[p][v];
+    // Holds an output VC with no downstream credit: the grant loop would
+    // skip it without side effects (credits only rise in deliver(), at the
+    // start of a cycle), so it never becomes a candidate. Heads still
+    // awaiting VC allocation stay in: a tail granted earlier in the loop
+    // can free a VC for them.
+    if (vcs.alloc_valid && st.credits[vcs.alloc_op][vcs.alloc_vc] == 0) continue;
+    const int op = vcs.alloc_valid ? vcs.alloc_op : route_port(n, vcs.fifo.front_header().dst);
+    const Candidate c{age_key(vcs.fifo.front_header(), static_cast<std::uint8_t>(p),
+                              static_cast<std::uint8_t>(v)),
+                      static_cast<std::uint8_t>(p), static_cast<std::uint8_t>(v),
+                      static_cast<std::uint8_t>(op)};
+    int k = num_cands++;
+    for (; k > 0 && c.key < cands[k - 1].key; --k) cands[k] = cands[k - 1];
+    cands[k] = c;
   }
   if (num_cands == 0) return;
 
-  // Oldest-first priority over all candidates. older_than() is a strict
-  // total order over distinct in-flight flits (inject cycle, source, packet,
-  // flit index), so the (port, vc) tie-break below is unreachable in
-  // practice — it pins the order anyway so that no std::sort implementation
-  // detail can ever decide a grant, and grant order stays reproducible
-  // across standard libraries.
-  std::sort(cands.begin(), cands.begin() + num_cands,
-            [](const Candidate& a, const Candidate& b) {
-              if (older_than(*a.hdr, *b.hdr)) return true;
-              if (older_than(*b.hdr, *a.hdr)) return false;
-              return (a.port << 8 | a.vc) < (b.port << 8 | b.vc);
-            });
+  // Stage a link item for the tile that owns its target node: this tile's
+  // own ring (always, when serial), else the outbox to the owner.
+  const auto stage = [&](auto& ring, auto& outboxes, Cycle at, NodeId target,
+                         const auto& item) {
+    if constexpr (Sharded) {
+      const int dt = plan_->tile_of(target);
+      if (dt != tile) {
+        NOCSIM_SHARD_CHECK_HALO(tile, dt);
+        outboxes[static_cast<std::size_t>(dt)].push(item);
+        ++ts->halo_writes;
+        ts->halo_bytes += sizeof(item);
+        return;
+      }
+    }
+    ring.push(at, item);
+  };
 
   // VC allocation (one grant per output port per cycle), then switch
   // allocation (one flit per input port and per output port), in one
@@ -386,31 +401,21 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
   std::uint8_t in_used = 0, out_used = 0;
   bool vc_alloc_done[kNumDirs] = {};
 
-  // When a flit pops from a neighbour-port FIFO, the upstream router regains
-  // one credit for that (link, VC) after a 1-cycle credit-wire delay. Local
-  // (injection) FIFOs have no credits: can_accept() inspects them directly.
-  const auto return_credit = [&](int in_port, int vc) {
-    if (in_port == static_cast<int>(Dir::Local)) return;
-    const NodeId upstream = st.up_node[static_cast<std::size_t>(in_port)];
+  // Pop the granted head and mark its input and output ports used for this
+  // cycle. When a neighbour-port FIFO pops, the upstream router regains
+  // one credit for that (link, VC) after a 1-cycle credit-wire delay.
+  // Local (injection) FIFOs have no credits: can_accept() inspects them
+  // directly.
+  const auto pop = [&](const Candidate& c, VcState& vcs) {
+    vcs.fifo.pop_front();
+    if (vcs.fifo.empty()) st.occ &= ~occ_bit(c.port, c.vc);
+    in_used |= static_cast<std::uint8_t>(1u << c.port);
+    out_used |= static_cast<std::uint8_t>(1u << c.out_port);
+    if (c.port == static_cast<int>(Dir::Local)) return;
+    const NodeId upstream = st.up_node[c.port];
     NOCSIM_DCHECK(upstream != kInvalidNode);
-    const std::uint8_t up_dir = st.up_port[static_cast<std::size_t>(in_port)];
-    const CreditReturn cr{upstream, up_dir, static_cast<std::uint8_t>(vc)};
-    if constexpr (Sharded) {
-      TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
-      const int dt = plan_->tile_of(upstream);
-      if (dt == tile) {
-        tl.credit[(now + 1) % tl.credit.size()].push_back(cr);
-      } else {
-        NOCSIM_SHARD_CHECK_HALO(tile, dt);
-        CredBox& box = tl.out_cred[static_cast<std::size_t>(dt)];
-        NOCSIM_DCHECK(box.count < box.cap);
-        box.slots[box.count++] = cr;
-        ++ts->halo_writes;
-        ts->halo_bytes += sizeof(CreditReturn);
-      }
-    } else {
-      credit_wheel_[(now + 1) % credit_wheel_.size()].push_back(cr);
-    }
+    stage(tl.credits, tl.out_cred, now + 1, upstream,
+          CreditReturn{upstream, st.up_port[c.port], c.vc});
   };
 
   for (int k = 0; k < num_cands; ++k) {
@@ -420,15 +425,12 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
 
     auto& vcs = st.in_vc[c.port][c.vc];
     const FlitHeader h = vcs.fifo.front_header();
-    const bool is_head = (h.flit_idx == 0);
     const int op = c.out_port;
 
     if (op == static_cast<int>(Dir::Local)) {
       // Ejection: no VC or credit needed; the NI sink always accepts.
       Flit out = assemble_flit(h, vcs.fifo.front_payload());
-      vcs.fifo.pop_front();
-      --st.flits_buffered;
-      return_credit(c.port, c.vc);
+      pop(c, vcs);
       if constexpr (Sharded) {
         ++ts->buffer_reads;
         eject_shard(n, out, *ts);
@@ -438,14 +440,12 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
         --in_network_;
         eject(now, n, out);
       }
-      in_used |= static_cast<std::uint8_t>(1u << c.port);
-      out_used |= static_cast<std::uint8_t>(1u << op);
       continue;
     }
 
     // Need an output VC: allocate for heads, reuse for body flits. On a
     // torus the dateline class restricts which downstream VCs are legal.
-    if (is_head && !vcs.alloc_valid) {
+    if (h.flit_idx == 0 && !vcs.alloc_valid) {
       if (vc_alloc_done[op]) continue;  // one VC allocation per output per cycle
       int v_lo = 0, v_hi = kVcs;
       if (vc_classes_) {
@@ -474,9 +474,7 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
 
     // Traverse. The granted flit's payload is read exactly once, here.
     FlitPayload p = vcs.fifo.front_payload();
-    vcs.fifo.pop_front();
-    --st.flits_buffered;
-    return_credit(c.port, c.vc);
+    pop(c, vcs);
     --st.credits[op][ovc];
     FlitHeader mh = h;
     mh.vc_state = next_vc_state(n, op, h.vc_state);
@@ -491,32 +489,18 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
       ++ts->buffer_reads;
       ++ts->flit_hops;
       ++ts->productive_hops;  // XY routing: every buffered hop is minimal
-      TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
-      const int dt = plan_->tile_of(next);
-      if (dt == tile) {
-        tl.wheel[(now + static_cast<Cycle>(hop_latency_)) % tl.wheel.size()].push_back(arr);
-      } else {
-        NOCSIM_SHARD_CHECK_HALO(tile, dt);
-        ArrBox& box = tl.out_arr[static_cast<std::size_t>(dt)];
-        NOCSIM_DCHECK(box.count < box.cap);
-        box.slots[box.count++] = arr;
-        ++ts->halo_writes;
-        ts->halo_bytes += sizeof(LinkArrival);
-      }
     } else {
       ++stats_.buffer_reads;
       ++stats_.flit_hops;
       ++stats_.productive_hops;  // XY routing: every buffered hop is minimal
       if (trace_ != nullptr) trace_->on_hop(now, n, next, assemble_flit(mh, p));
-      wheel_[(now + static_cast<Cycle>(hop_latency_)) % wheel_.size()].push_back(arr);
     }
+    stage(tl.arrivals, tl.out_arr, now + static_cast<Cycle>(hop_latency_), next, arr);
 
     if (is_tail) {
       st.out_vc_busy[op][ovc] = false;
       vcs.alloc_valid = false;
     }
-    in_used |= static_cast<std::uint8_t>(1u << c.port);
-    out_used |= static_cast<std::uint8_t>(1u << op);
   }
 }
 

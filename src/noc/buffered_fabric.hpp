@@ -20,9 +20,17 @@
 //
 // Arbitration is Oldest-First everywhere (matching the bufferless baseline's
 // age policy): one flit per input port and per output port per cycle.
+//
+// Hot path (DESIGN.md "Buffered fabric hot path"): each router keeps a
+// bitmask of its non-empty (input slot, VC) FIFOs, so switch allocation
+// gathers only occupied heads; candidates are insertion-sorted by a packed
+// 128-bit age key (flit.hpp age_key) as they are gathered; and link traffic
+// rides fixed-capacity arena rings, one bank per tile (serial runs are one
+// tile spanning every node).
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -45,12 +53,12 @@ class BufferedFabric final : public Fabric {
   void step(Cycle now) override;
   [[nodiscard]] std::uint32_t oldest_inflight_inject_cycle() const override;
 
-  // Sharded stepping: link-arrival and credit wheels become per-tile (a
-  // tile delivers only its own routers' arrivals in shard_deliver), and
-  // route-phase pushes destined for another tile's wheel travel through
-  // per-(src, dst)-tile outboxes applied in shard_exchange. Within one
-  // wheel slot, arrivals target distinct (node, port, vc) FIFOs — one flit
-  // per link per cycle — so the redistribution cannot reorder any FIFO.
+  // Sharded stepping: each tile owns the link rings of the routers it
+  // owns (a tile delivers only its own routers' arrivals in shard_deliver),
+  // and route-phase pushes destined for another tile's ring travel through
+  // per-(src, dst)-tile outboxes applied in shard_exchange. Within one ring
+  // slot, arrivals target distinct (node, port, vc) FIFOs — one flit per
+  // link per cycle — so the redistribution cannot reorder any FIFO.
   void set_shard_plan(const ShardPlan* plan) override;
   void shard_begin(Cycle now) override;
   void shard_deliver(Cycle now, int tile) override;
@@ -62,6 +70,9 @@ class BufferedFabric final : public Fabric {
   /// (kVcDepth slots). A ring buffer keeps the hot path allocation-free.
   /// Storage is SoA (see flit.hpp): switch arbitration reads only the
   /// header lane of FIFO heads; the payload lane is read once per grant.
+  /// The ring indices come first, right after the owning VcState's
+  /// allocation bytes, so what a switch candidate reads (allocation state,
+  /// head index, head header) sits together at the front of the VcState.
   class VcFifo {
    public:
     [[nodiscard]] bool empty() const { return count_ == 0; }
@@ -75,7 +86,7 @@ class BufferedFabric final : public Fabric {
       return pay_[head_];
     }
     void push_back(const FlitHeader& h, const FlitPayload& p) {
-      NOCSIM_CHECK_MSG(count_ < kVcDepth, "VC FIFO overflow");
+      NOCSIM_CHECK_MSG(count_ < kVcDepth, "VC FIFO overflow: credit protocol violated");
       const std::uint8_t slot = static_cast<std::uint8_t>((head_ + count_) % kVcDepth);
       hdr_[slot] = h;
       pay_[slot] = p;
@@ -98,22 +109,31 @@ class BufferedFabric final : public Fabric {
     }
 
    private:
-    std::array<FlitHeader, kVcDepth> hdr_;
-    std::array<FlitPayload, kVcDepth> pay_;
     std::uint8_t head_ = 0;
     std::uint8_t count_ = 0;
+    std::array<FlitHeader, kVcDepth> hdr_;
+    std::array<FlitPayload, kVcDepth> pay_;
   };
 
   struct VcState {
-    VcFifo fifo;
     bool alloc_valid = false;  ///< current packet holds an output VC
     std::uint8_t alloc_op = 0;
     std::uint8_t alloc_vc = 0;
+    VcFifo fifo;
   };
 
+  /// Bit of NodeState::occ for input slot `port`, VC `vc`: ascending bit
+  /// order is ascending (port, vc) order.
+  [[nodiscard]] static constexpr std::uint32_t occ_bit(int port, int vc) {
+    return std::uint32_t{1} << (port * kVcs + vc);
+  }
+  static_assert(kInPorts * kVcs <= 32, "occupancy mask is one uint32_t per router");
+
   struct NodeState {
-    // in_vc[input slot][vc]; slot kNumDirs (== Dir::Local) is injection.
-    std::array<std::array<VcState, kVcs>, kInPorts> in_vc;
+    /// Occupancy mask: occ_bit(slot, vc) set iff that input FIFO is
+    /// non-empty. Set on every push (arrival delivery, injection), cleared
+    /// when a pop empties the FIFO; route_node walks only the set bits.
+    std::uint32_t occ = 0;
     // credits[output port][vc]: free slots in the downstream input FIFO.
     std::array<std::array<std::uint8_t, kVcs>, kNumDirs> credits{};
     // out_vc_busy[output port][vc]: an upstream packet holds this downstream VC.
@@ -124,14 +144,15 @@ class BufferedFabric final : public Fabric {
     std::array<std::uint8_t, kNumDirs> dst_slot{};
     std::array<std::uint8_t, kNumDirs> link_dim{};
     std::uint8_t wrap_mask = 0;  ///< bit per output port: dateline link
+    // Injection wormhole state: mid-packet flits must use the same VC.
+    bool inj_alloc_valid = false;
+    std::uint8_t inj_vc = 0;
     // Reverse map per input slot: the upstream router and its output port
     // (credit returns; replaces the grid-only opposite(dir) convention).
     std::array<NodeId, kNumDirs> up_node{};
     std::array<std::uint8_t, kNumDirs> up_port{};
-    std::uint32_t flits_buffered = 0;
-    // Injection wormhole state: mid-packet flits must use the same VC.
-    bool inj_alloc_valid = false;
-    std::uint8_t inj_vc = 0;
+    // in_vc[input slot][vc]; slot kNumDirs (== Dir::Local) is injection.
+    std::array<std::array<VcState, kVcs>, kInPorts> in_vc;
   };
 
   struct LinkArrival {
@@ -148,6 +169,77 @@ class BufferedFabric final : public Fabric {
     std::uint8_t vc;
   };
 
+  /// Fixed-capacity timing ring for link traffic: flits on a link, credits
+  /// on the return wire. Items landing at cycle `at` go to slot `at & mask`,
+  /// a flat arena array plus a count. The slot count is the requested one
+  /// (the latency + 1) rounded up to a power of two: a slot then still
+  /// collects the pushes of one cycle only, and at most one item crosses a
+  /// directed link per cycle, so the owner's directed-link count bounds it.
+  template <typename T>
+  class LinkRing {
+   public:
+    [[nodiscard]] static std::size_t layout_bytes(std::size_t slots, std::uint32_t cap) {
+      slots = std::bit_ceil(slots);
+      return Arena::lane_bytes<Slot>(slots) + slots * Arena::lane_bytes<T>(cap);
+    }
+    void carve(Arena& arena, std::size_t slots, std::uint32_t cap) {
+      slots = std::bit_ceil(slots);
+      slots_ = arena.alloc_array<Slot>(slots);
+      mask_ = slots - 1;
+      cap_ = cap;
+      for (std::size_t i = 0; i < slots; ++i) slots_[i].items = arena.alloc_array<T>(cap);
+    }
+    void push(Cycle at, const T& item) {
+      Slot& s = slots_[at & mask_];
+      NOCSIM_CHECK_MSG(s.count < cap_, "link ring overflow: more items than links in a cycle");
+      s.items[s.count++] = item;
+    }
+    /// Visit, then drop, the items landing at cycle `at`.
+    template <typename F>
+    void drain(Cycle at, F&& visit) {
+      Slot& s = slots_[at & mask_];
+      for (std::uint32_t i = 0; i < s.count; ++i) visit(s.items[i]);
+      s.count = 0;
+    }
+    template <typename F>
+    void for_each(F&& visit) const {
+      for (std::size_t k = 0; k <= mask_; ++k)
+        for (std::uint32_t i = 0; i < slots_[k].count; ++i) visit(slots_[k].items[i]);
+    }
+
+   private:
+    struct Slot {
+      T* items = nullptr;
+      std::uint32_t count = 0;
+    };
+    Slot* slots_ = nullptr;
+    std::size_t mask_ = 0;
+    std::uint32_t cap_ = 0;
+  };
+
+  /// Fixed-capacity outbox for one (src tile, dst tile) pair, backed by the
+  /// src tile's arena. At most one flit and one credit cross a directed
+  /// link per cycle, so the pair's cross-link count caps both.
+  template <typename T>
+  struct Outbox {
+    T* slots = nullptr;
+    std::uint32_t count = 0;
+    std::uint32_t cap = 0;
+    void push(const T& item) {
+      NOCSIM_DCHECK(count < cap);
+      slots[count++] = item;
+    }
+  };
+
+  /// One tile's link state: the rings feeding the routers it owns, plus
+  /// outboxes for pushes that target another tile (sharded runs only).
+  struct TileLinks {
+    LinkRing<LinkArrival> arrivals;           ///< hop_latency + 1 slots
+    LinkRing<CreditReturn> credits;           ///< 2 slots (1-cycle credit wire)
+    std::vector<Outbox<LinkArrival>> out_arr; ///< [dst tile]
+    std::vector<Outbox<CreditReturn>> out_cred; ///< [dst tile]
+  };
+
   /// Output port for a flit at node n (Local when dst == n). Deterministic
   /// dimension-order / table routing (dirs[0] of the route preference).
   [[nodiscard]] int route_port(NodeId n, NodeId dst) const;
@@ -162,50 +254,29 @@ class BufferedFabric final : public Fabric {
   /// [c*2, c*2+1] on a torus, any VC on a wrap-free topology.
   [[nodiscard]] static int vc_class_of(std::uint8_t vc_state) { return vc_state & 1; }
 
+  /// (Re)carve every tile's link rings and outboxes for the current plan
+  /// (serial = one tile). Only legal with nothing on the links.
+  void rebuild_links();
+
+  /// Move the tile's arrivals and credits for cycle `now` into its routers.
+  template <bool Sharded>
+  void deliver(Cycle now, int tile);
   template <bool Sharded>
   void route_node(Cycle now, NodeId n, int tile);
   template <bool Sharded>
   void accept_injection(Cycle now, NodeId n, int tile);
 
-  /// Fixed-capacity outboxes for one (src tile, dst tile) pair, backed by
-  /// the src tile's arena. At most one flit and one credit cross a directed
-  /// link per cycle, so the pair's cross-link count caps both.
-  struct ArrBox {
-    LinkArrival* slots = nullptr;
-    std::uint32_t count = 0;
-    std::uint32_t cap = 0;
-  };
-  struct CredBox {
-    CreditReturn* slots = nullptr;
-    std::uint32_t count = 0;
-    std::uint32_t cap = 0;
-  };
-
-  /// Tile-local link state when sharded: the tile's slice of the arrival
-  /// and credit wheels, plus outboxes for pushes that target another tile.
-  struct TileLinks {
-    std::vector<std::vector<LinkArrival>> wheel;      ///< [slot]
-    std::array<std::vector<CreditReturn>, 2> credit;  ///< [slot parity]
-    std::vector<ArrBox> out_arr;                      ///< [dst tile]
-    std::vector<CredBox> out_cred;                    ///< [dst tile]
-  };
-
   /// Dateline VC classes active (any wrap link present — torus families).
   bool vc_classes_ NOCSIM_SHARED_READONLY = false;
 
   std::vector<NodeState> nodes_ NOCSIM_TILE_LOCAL;  ///< FIFOs/credits, per node
-  /// Serial-path wheels; the sharded path uses tile_links_ instead, so these
-  /// are never written during phases.
-  std::vector<std::vector<LinkArrival>> wheel_ NOCSIM_SHARED_READONLY;
-  std::vector<std::vector<CreditReturn>> credit_wheel_ NOCSIM_SHARED_READONLY;
-  /// Per-tile wheels plus [dst tile] outboxes; only out_arr/out_cred carry
+  /// Per-tile rings plus [dst tile] outboxes; only out_arr/out_cred carry
   /// cross-tile effects (applied by the owner in shard_exchange).
   std::vector<TileLinks> tile_links_ NOCSIM_TILE_LOCAL;
-  /// One bump arena per tile backing that tile's outbox slot arrays
-  /// (sharded runs only; serial runs never stage cross-tile pushes).
+  /// One bump arena per tile backing that tile's rings and outboxes.
   std::vector<Arena> arenas_ NOCSIM_TILE_LOCAL;
-  /// Bitmap over nodes with flits_buffered != 0. Set on arrival delivery;
-  /// a bit survives step() until its router drains, so blocked routers are
+  /// Bitmap over nodes with occ != 0. Set on arrival delivery; a bit
+  /// survives step() until its router drains, so blocked routers are
   /// revisited every cycle but empty ones are never scanned. Tile-local by
   /// word range; boundary words are shared and use commutative atomic RMWs.
   std::vector<std::uint64_t> work_words_ NOCSIM_TILE_LOCAL;

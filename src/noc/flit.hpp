@@ -19,6 +19,7 @@
 
 #include <cstdint>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 
 namespace nocsim {
@@ -136,6 +137,27 @@ constexpr bool older_than(const Flit& a, const Flit& b) {
   if (a.src != b.src) return a.src < b.src;
   if (a.packet != b.packet) return a.packet < b.packet;
   return a.flit_idx < b.flit_idx;
+}
+
+/// Arbitration sort key: older_than()'s four fields packed most
+/// significant first (inject_cycle, src, packet, flit_idx), then the
+/// buffered router's (input port, VC) tie-break. Every field is unsigned
+/// and packed at its full width, so comparing two keys as integers is
+/// exactly older_than() with ties broken by (port, vc) — one 128-bit
+/// compare in place of a four-field comparator called twice. `src` is
+/// packed unsigned, which keeps its order only because node ids are
+/// non-negative.
+using AgeKey = unsigned __int128;
+
+constexpr AgeKey age_key(const FlitHeader& h, std::uint8_t port, std::uint8_t vc) {
+  NOCSIM_DCHECK(h.src >= 0);
+  // Built as two 64-bit halves: compilers emit far tighter code for that
+  // than for a chain of 128-bit shifts.
+  const std::uint64_t hi =
+      std::uint64_t{h.inject_cycle} << 32 | static_cast<std::uint32_t>(h.src);
+  const std::uint64_t lo = std::uint64_t{h.packet} << 32 | std::uint64_t{h.flit_idx} << 16 |
+                           std::uint64_t{port} << 8 | vc;
+  return AgeKey{hi} << 64 | lo;
 }
 
 }  // namespace nocsim

@@ -29,28 +29,32 @@ class SyntheticTrace final : public TraceSource {
       : profile_(profile),
         rng_(Rng(seed).fork(stream ^ 0xA99)),
         region_base_((stream + 1) << 34),  // 16 GiB of private address space
+        mem_threshold_(Rng::bernoulli_threshold(profile.mem_fraction)),
         burst_on_(false) {
+    NOCSIM_CHECK_MSG(profile.hot_blocks > 0, "AppProfile::hot_blocks must be positive");
     schedule_burst();
   }
 
   Insn next() override {
     ++idx_;
-    if (!rng_.next_bool(profile_.mem_fraction)) return Insn{false, 0};
+    // Bernoulli draws compare integer thresholds (Rng::next_bool_below):
+    // the same bits and outcomes as next_bool(p), without a double multiply.
+    if (!rng_.next_bool_below(mem_threshold_)) return Insn{false, 0};
 
     // Phase modulation varies over >= 60k accesses; refreshing the cached
     // value every 256 keeps the trig/burst logic off the per-op hot path.
     if (idx_ >= cold_refresh_at_) {
-      cached_cold_ = current_cold_fraction();
+      cold_threshold_ = Rng::bernoulli_threshold(current_cold_fraction());
       cold_refresh_at_ = idx_ + 256;
     }
-    if (rng_.next_bool(cached_cold_)) {
+    if (rng_.next_bool_below(cold_threshold_)) {
       // Cold stream: random block in a 2^24-block region — practically
       // always an L1 miss.
       const Addr block = region_base_ / kBlockBytes + rng_.next_below(1u << 24);
       return Insn{true, block * kBlockBytes};
     }
     // Hot set: sequential walk.
-    hot_cursor_ = (hot_cursor_ + 1) % profile_.hot_blocks;
+    if (++hot_cursor_ == profile_.hot_blocks) hot_cursor_ = 0;
     const Addr block = region_base_ / kBlockBytes + (1ull << 25) + hot_cursor_;
     return Insn{true, block * kBlockBytes};
   }
@@ -95,11 +99,12 @@ class SyntheticTrace final : public TraceSource {
   const AppProfile profile_;
   Rng rng_;
   Addr region_base_;
+  std::uint64_t mem_threshold_;  ///< bernoulli_threshold(mem_fraction)
   std::uint64_t idx_ = 0;
   std::uint64_t hot_cursor_ = 0;
   bool burst_on_;
   std::uint64_t burst_until_ = 0;
-  double cached_cold_ = 0.0;
+  std::uint64_t cold_threshold_ = 0;  ///< of the cold fraction, refreshed every 256 ops
   std::uint64_t cold_refresh_at_ = 0;
 };
 

@@ -57,5 +57,49 @@ TEST(Flags, UnknownFlagExits) {
   EXPECT_EXIT(f.finish(), ::testing::ExitedWithCode(2), "unknown flag");
 }
 
+// A malformed value must not escape as an exception (or parse in part):
+// it exits 2 naming the flag, like an unknown flag does.
+void read_flag(const std::string& kind, const std::string& value) {
+  std::vector<std::string> args = {"prog", "--x", value};
+  auto argv = argv_of(args);
+  Flags f(static_cast<int>(argv.size()), argv.data());
+  if (kind == "int") (void)f.get_int("x", 1, "x");
+  if (kind == "double") (void)f.get_double("x", 1.0, "x");
+  if (kind == "bool") (void)f.get_bool("x", false, "x");
+}
+
+TEST(FlagsDeathTest, MalformedIntExits) {
+  EXPECT_EXIT(read_flag("int", "banana"), ::testing::ExitedWithCode(2),
+              "bad value for --x: banana");
+  EXPECT_EXIT(read_flag("int", "12abc"), ::testing::ExitedWithCode(2), "bad value for --x");
+  EXPECT_EXIT(read_flag("int", "1e3"), ::testing::ExitedWithCode(2), "bad value for --x");
+  EXPECT_EXIT(read_flag("int", "99999999999999999999"), ::testing::ExitedWithCode(2),
+              "bad value for --x");
+}
+
+TEST(FlagsDeathTest, MalformedDoubleExits) {
+  EXPECT_EXIT(read_flag("double", "fast"), ::testing::ExitedWithCode(2),
+              "bad value for --x: fast");
+  EXPECT_EXIT(read_flag("double", "0.5x"), ::testing::ExitedWithCode(2), "bad value for --x");
+}
+
+TEST(FlagsDeathTest, MalformedBoolExits) {
+  EXPECT_EXIT(read_flag("bool", "maybe"), ::testing::ExitedWithCode(2),
+              "bad value for --x: maybe");
+  EXPECT_EXIT(read_flag("bool", "on"), ::testing::ExitedWithCode(2), "bad value for --x");
+}
+
+TEST(Flags, WellFormedValuesParse) {
+  std::vector<std::string> args = {"prog", "--a=-7", "--b=1e-3", "--c=no", "--d=0", "--e=yes"};
+  auto argv = argv_of(args);
+  Flags f(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(f.get_int("a", 0, "x"), -7);
+  EXPECT_DOUBLE_EQ(f.get_double("b", 0.0, "x"), 1e-3);
+  EXPECT_FALSE(f.get_bool("c", true, "x"));
+  EXPECT_FALSE(f.get_bool("d", true, "x"));
+  EXPECT_TRUE(f.get_bool("e", false, "x"));
+  EXPECT_FALSE(f.finish());
+}
+
 }  // namespace
 }  // namespace nocsim

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace nocsim {
@@ -85,6 +87,47 @@ TEST(Rng, BernoulliFrequencyMatchesP) {
   int hits = 0;
   for (int i = 0; i < n; ++i) hits += rng.next_bool(0.3);
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
+}
+
+// The integer Bernoulli must be next_bool(p) bit for bit: same draws, same
+// outcomes, for every p — the synthetic trace generator relies on it.
+std::vector<double> bernoulli_probe_ps() {
+  std::vector<double> ps = {0.0, 1.0, 0.1, 0.3, 0.5, 1e-300, 0x1.0p-60, -0.5, 1.5,
+                            std::nan("")};
+  for (const std::uint64_t k : {1ull, 2ull, 3ull, 12345ull, (1ull << 52) + 1, (1ull << 53) - 1})
+    ps.push_back(std::ldexp(static_cast<double>(k), -53));  // exact multiples of 2^-53
+  const std::size_t exact = ps.size();
+  for (std::size_t i = 0; i < exact; ++i) {
+    ps.push_back(std::nextafter(ps[i], 0.0));
+    ps.push_back(std::nextafter(ps[i], 2.0));
+  }
+  Rng pick(99);
+  for (int i = 0; i < 50; ++i) ps.push_back(pick.next_double());
+  return ps;
+}
+
+TEST(Rng, IntegerBernoulliMatchesNextBoolOnSeededDraws) {
+  for (const double p : bernoulli_probe_ps()) {
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    Rng a(2024), b(2024);
+    for (int i = 0; i < 20000; ++i) ASSERT_EQ(a.next_bool_below(t), b.next_double() < p) << p;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "streams diverged at p=" << p;
+  }
+}
+
+TEST(Rng, IntegerBernoulliExactAtTheThreshold) {
+  // Random draws almost never land next to the threshold, so walk the
+  // 53-bit mantissa values m around it directly: m < t must hold exactly
+  // when next_double()'s value m * 2^-53 is below p.
+  for (const double p : bernoulli_probe_ps()) {
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    const std::uint64_t lo = t > 3 ? t - 3 : 0;
+    for (std::uint64_t m = lo; m <= t + 3 && m < (1ull << 53); ++m)
+      ASSERT_EQ(m < t, std::ldexp(static_cast<double>(m), -53) < p) << "p=" << p << " m=" << m;
+  }
+  EXPECT_EQ(Rng::bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(1.0), 1ull << 53);
+  EXPECT_EQ(Rng::bernoulli_threshold(0x1.0p-53), 1u);
 }
 
 TEST(Rng, ParetoAtLeastMinimum) {
