@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,8 +36,7 @@ struct BenchConfig {
   int side;
   Cycle warmup;
   Cycle cycles;     ///< measured cycles per rep
-  int shards = 1;   ///< intra-run tiles (1 = serial loop)
-  ShardDims dims{}; ///< 2D cols x rows tiling; overrides `shards` when active
+  int shards = 1;  ///< intra-run tiles (1 = serial loop)
 };
 
 struct BenchResult {
@@ -62,11 +62,7 @@ BenchResult run_config(const BenchConfig& bc, int reps, std::size_t index,
   c.measure_cycles = bc.cycles;
   c.cc_params.epoch = 5'000;
   c.seed = 1;
-  if (bc.dims.active()) {
-    c.shard_dims = bc.dims;
-  } else {
-    c.shards = bc.shards;
-  }
+  c.shards = bc.shards;
   Rng rng(17);
   const auto wl = make_category_workload("HM", bc.side * bc.side, rng);
   Simulator sim(c, wl);
@@ -195,11 +191,7 @@ void write_json(std::ostream& out, const std::vector<BenchResult>& results, int 
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
     out << "    {\"name\": \"" << r.cfg.name << "\", \"side\": " << r.cfg.side
-        << ", \"shards\": "
-        << (r.cfg.dims.active() ? r.cfg.dims.cols * r.cfg.dims.rows : r.cfg.shards);
-    if (r.cfg.dims.active())
-      out << ", \"shard_dims\": \"" << r.cfg.dims.cols << "x" << r.cfg.dims.rows << "\"";
-    out << ", \"measured_cycles\": " << r.cfg.cycles << ", \"wall_seconds\": "
+        << ", \"shards\": " << r.cfg.shards << ", \"measured_cycles\": " << r.cfg.cycles << ", \"wall_seconds\": "
         << r.best_seconds << ", \"cycles_per_sec\": " << r.cycles_per_sec
         << ", \"node_cycles_per_sec\": "
         << r.cycles_per_sec * r.cfg.side * r.cfg.side << "}"
@@ -219,10 +211,8 @@ int run(int argc, char** argv) {
       flags.get_int("cycles-64", 1'500, "measured cycles per rep, 64x64 configs"));
   const int reps =
       static_cast<int>(flags.get_int("reps", 3, "timed repetitions; best is reported"));
-  const int shards = static_cast<int>(
-      flags.get_int("shards", 4, "tiles for the sharded 32x32/64x64 variants"));
-  const std::string dims_str = flags.get_string(
-      "shard-dims", "", "COLSxROWS 2D tiling variants to add, e.g. 2x2 (empty = none)");
+  const std::int64_t shards_flag =
+      flags.get_int("shards", 4, "tiles for the sharded 32x32/64x64 variants (>= 1)");
   const bool skip_large =
       flags.get_bool("skip-32", false, "measure only the 8x8 config (quick check)");
   const std::string out_path =
@@ -247,16 +237,22 @@ int run(int argc, char** argv) {
       "topology-file", "", "smoke-mode graph file (topology = irregular)");
   const std::string router =
       flags.get_string("router", "bless", "smoke-mode router: bless | buffered");
-  const auto metrics_cycles = static_cast<Cycle>(
-      flags.get_int("metrics-cycles", 5'000, "smoke-mode measured cycles"));
+  const std::int64_t metrics_cycles =
+      flags.get_int("metrics-cycles", 5'000, "smoke-mode measured cycles (>= 1)");
   if (flags.finish()) return 0;
+  // Reject out-of-range values before any run: 0 shards would abort inside
+  // the simulator, and a 0-cycle window would write an all-zero metrics CSV.
+  if (shards_flag < 1 || shards_flag > std::numeric_limits<int>::max())
+    flags.bad_value("shards", std::to_string(shards_flag));
+  if (metrics_cycles < 1) flags.bad_value("metrics-cycles", std::to_string(metrics_cycles));
+  const int shards = static_cast<int>(shards_flag);
   if (router != "bless" && router != "buffered") {
     std::cerr << "cycle_loop: unknown --router '" << router << "' (want bless | buffered)\n";
     return 2;
   }
   if (!metrics.empty()) {
     return run_metrics(metrics, topology, side, depth, topo_file, router, shards,
-                       metrics_cycles);
+                       static_cast<Cycle>(metrics_cycles));
   }
 
   std::vector<BenchConfig> configs = {{"fig02_8x8", 8, 5'000, cycles8}};
@@ -268,23 +264,6 @@ int run(int argc, char** argv) {
     configs.push_back({"fig02_32x32_sh" + std::to_string(shards), 32, 2'000, cycles32, shards});
     configs.push_back({"fig02_64x64", 64, 1'000, cycles64});
     configs.push_back({"fig02_64x64_sh" + std::to_string(shards), 64, 1'000, cycles64, shards});
-    if (!dims_str.empty()) {
-      // 2D column-tile variants (SimConfig::shard_dims): rectangle seams
-      // halve the halo bytes of same-count row strips, so the _shCxR vs _shN
-      // pair prices the layout, not the thread count.
-      const std::size_t x = dims_str.find('x');
-      ShardDims d;
-      if (x != std::string::npos) {
-        d.cols = std::atoi(dims_str.substr(0, x).c_str());
-        d.rows = std::atoi(dims_str.substr(x + 1).c_str());
-      }
-      if (!d.active()) {
-        std::cerr << "cycle_loop: bad --shard-dims '" << dims_str << "' (want COLSxROWS)\n";
-        return 1;
-      }
-      configs.push_back({"fig02_32x32_sh" + dims_str, 32, 2'000, cycles32, 1, d});
-      configs.push_back({"fig02_64x64_sh" + dims_str, 64, 1'000, cycles64, 1, d});
-    }
   }
 
   std::vector<BenchResult> results;

@@ -17,9 +17,9 @@ build="${1:-build-bench}"
 
 cmake -B "$build" -S . -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$build" -j --target cycle_loop >/dev/null
-"./$build/bench/cycle_loop" --reps 7 --shard-dims 2x2 --out BENCH_cycle_loop.json
+"./$build/bench/cycle_loop" --reps 7 --out BENCH_cycle_loop.json
 
-# A sharded (_shN / _shCxR) config measured on fewer than N cores prices the
+# A sharded (_shN) config measured on fewer than N cores prices the
 # tile barriers instead of the parallel speedup. That is still a valid
 # baseline (CI compares like against like) but a misleading one to read, so
 # say so out loud. `nproc` counts logical CPUs — a conservative upper bound

@@ -1,14 +1,14 @@
 // Bump arena for per-tile fabric storage.
 //
 // Each shard tile owns one arena; every lane the tile's routers touch in the
-// cycle loop (latch-bank header/payload/valid lanes, halo outboxes) is carved
+// cycle loop (latch-bank header/payload/valid/active lanes, halo outboxes) is carved
 // from it at construction time. That gives two properties the hot loop wants:
 //
 //  * locality — a tile's working set is one contiguous block, laid out in
 //    the order the phase code walks it, instead of scattered across
 //    independently-allocated vectors;
 //  * isolation — tiles never share a cacheline except through the halo
-//    outboxes and the atomic occupancy words, which are shared by design.
+//    outboxes, which are shared by design.
 //
 // Allocation is bump-only: there is no per-object free. `reset()` rewinds
 // the cursor and invalidates everything, which is exactly the lifetime the

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <system_error>
 #include <thread>
 
@@ -131,7 +132,8 @@ int get_jobs(Flags& flags) {
 int get_shards(Flags& flags) {
   const auto n = flags.get_int(
       "shards", 1, "intra-run worker tiles per simulation (results identical for any value)");
-  return n > 1 ? static_cast<int>(n) : 1;
+  if (n < 1 || n > std::numeric_limits<int>::max()) flags.bad_value("shards", std::to_string(n));
+  return static_cast<int>(n);
 }
 
 }  // namespace nocsim

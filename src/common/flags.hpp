@@ -32,11 +32,13 @@ class Flags {
   /// Basename of argv[0] — the conventional stem for per-run record files.
   [[nodiscard]] std::string program_name() const;
 
+  /// Print "bad value for --name: value" and exit 2, like an unknown flag.
+  /// Also for values that parse but are out of range.
+  [[noreturn]] void bad_value(const std::string& name, const std::string& value) const;
+
  private:
   std::optional<std::string> raw(const std::string& name);
   void note(const std::string& name, const std::string& def, const std::string& desc);
-  /// Print "bad value for --name: value" and exit 2, like an unknown flag.
-  [[noreturn]] void bad_value(const std::string& name, const std::string& value) const;
 
   std::string program_;
   std::map<std::string, std::string> values_;
@@ -52,8 +54,9 @@ int get_jobs(Flags& flags);
 
 /// The standard `--shards` flag for binaries that run whole simulations:
 /// row-strip tiles (worker threads) *inside* each simulation. Results are
-/// byte-identical for every value; 1 (the default) is the serial cycle
-/// loop. Composes with --jobs — total threads ~= jobs * shards.
+/// byte-identical for every value; 1 (the default) runs on the calling
+/// thread alone, and a value below 1 is rejected as a bad value. Composes
+/// with --jobs — total threads ~= jobs * shards.
 int get_shards(Flags& flags);
 
 }  // namespace nocsim

@@ -1,24 +1,18 @@
-// Spatial tile partition for intra-run sharding of the cycle loop.
+// Spatial tile partition of the cycle loop.
 //
-// Two tile shapes share one plan type:
+// The mesh is split into horizontal row strips; with node ids assigned as
+// y*width + x, each strip is a contiguous node-id range [lo, hi). A serial
+// run is the one-tile plan covering every node.
 //
-//  * Row strips (width x height split into `shards` horizontal bands) — with
-//    node ids assigned as y*width + x, each strip is a contiguous node-id
-//    range.
-//  * 2D column x row tiles (`ShardDims{cols, rows}`) — each tile owns a
-//    rectangle of the mesh. Tiles are no longer contiguous in node-id space,
-//    but each tile decomposes into one contiguous row-segment span per mesh
-//    row it owns. On wide meshes this cuts halo traffic per tile boundary
-//    from O(side) (full-width strip seams) to O(side/√shards) (rectangle
-//    perimeters).
+// Bit-exactness for any tile count rests on a per-node event invariant:
+// every phase produces at most one ordered event per node per cycle, and
+// each tile emits its events in ascending node-id order (tiles walk their
+// bitmap words lowest-first). Concatenating the tile buffers in tile order
+// therefore reproduces the one-tile ascending-node stream exactly.
 //
-// Bit-exactness with the serial loop rests on a per-node event invariant,
-// not on contiguity itself: every phase produces at most one ordered event
-// per node per cycle, and each tile emits its events in ascending node-id
-// order (tiles walk their bitmap words lowest-first). For contiguous strips,
-// concatenating tile buffers in tile order therefore equals the serial
-// ascending-node stream; for 2D tiles the consumers k-way merge the tile
-// buffers by node id instead, which reconstructs exactly the same stream.
+// Per-node bitmaps are kept per tile (TileBits), indexed by the tile-local
+// id n - lo, so no bitmap word is shared between tiles and every update is
+// a plain write by the owning tile.
 #pragma once
 
 #include <algorithm>
@@ -30,21 +24,13 @@
 
 namespace nocsim {
 
-/// 2D tiling request: cols x rows tiles. Inactive (either axis <= 0) means
-/// "use row strips / serial"; see SimConfig::shard_dims.
-struct ShardDims {
-  int cols = 0;
-  int rows = 0;
-  [[nodiscard]] bool active() const { return cols > 0 && rows > 0; }
-};
-
 class ShardPlan {
  public:
-  /// Half-open node-id range [lo, hi) owned by one tile (or one contiguous
-  /// row segment of a 2D tile).
+  /// Half-open node-id range [lo, hi) owned by one tile.
   struct TileRange {
     int lo;
     int hi;
+    bool operator==(const TileRange&) const = default;
   };
 
   /// Row-strip plan: one worker per horizontal band. More shards than rows
@@ -52,116 +38,89 @@ class ShardPlan {
   ShardPlan(int width, int height, int shards) {
     NOCSIM_CHECK(width > 0 && height > 0 && shards >= 1);
     const int t = std::min(shards, height);
-    std::vector<std::vector<TileRange>> spans(static_cast<std::size_t>(t));
     for (int i = 0; i < t; ++i) {
-      const int row_lo = i * height / t;
-      const int row_hi = (i + 1) * height / t;
-      spans[static_cast<std::size_t>(i)].push_back(TileRange{row_lo * width, row_hi * width});
+      ranges_.push_back(TileRange{i * height / t * width, (i + 1) * height / t * width});
     }
-    build(width * height, std::move(spans));
+    build();
   }
 
-  /// 2D plan: dims.cols x dims.rows rectangular tiles, capped at the mesh
-  /// extent per axis. Tile (tx, ty) is tile index ty*cols + tx.
-  ShardPlan(int width, int height, ShardDims dims) {
-    NOCSIM_CHECK(width > 0 && height > 0 && dims.active());
-    const int cx = std::min(dims.cols, width);
-    const int cy = std::min(dims.rows, height);
-    std::vector<std::vector<TileRange>> spans;
-    spans.reserve(static_cast<std::size_t>(cx) * static_cast<std::size_t>(cy));
-    for (int ty = 0; ty < cy; ++ty) {
-      const int y_lo = ty * height / cy;
-      const int y_hi = (ty + 1) * height / cy;
-      for (int tx = 0; tx < cx; ++tx) {
-        const int x_lo = tx * width / cx;
-        const int x_hi = (tx + 1) * width / cx;
-        std::vector<TileRange> tile;
-        tile.reserve(static_cast<std::size_t>(y_hi - y_lo));
-        for (int y = y_lo; y < y_hi; ++y)
-          tile.push_back(TileRange{y * width + x_lo, y * width + x_hi});
-        spans.push_back(std::move(tile));
-      }
-    }
-    build(width * height, std::move(spans));
+  /// The same tiling over an id space k times larger: tile t covers
+  /// [lo*k, hi*k). Maps a router plan onto the core ids of a concentrated
+  /// topology, where core c sits behind router c / k.
+  [[nodiscard]] ShardPlan scaled(int k) const {
+    NOCSIM_CHECK(k >= 1);
+    ShardPlan p = *this;
+    for (TileRange& r : p.ranges_) r = TileRange{r.lo * k, r.hi * k};
+    p.build();
+    return p;
   }
 
-  [[nodiscard]] int tiles() const { return static_cast<int>(spans_.size()); }
+  bool operator==(const ShardPlan&) const = default;
 
-  /// The contiguous node-id range of a row-strip tile. Only meaningful for
-  /// single-span tiles; 2D consumers must iterate spans() instead.
-  [[nodiscard]] TileRange range(int t) const {
-    const auto& s = spans_[static_cast<std::size_t>(t)];
-    NOCSIM_CHECK_MSG(s.size() == 1, "range() on a non-contiguous 2D tile; use spans()");
-    return s.front();
-  }
+  [[nodiscard]] int tiles() const { return static_cast<int>(ranges_.size()); }
+  [[nodiscard]] int nodes() const { return ranges_.back().hi; }
 
-  /// Contiguous node-id segments of tile t, ascending. Row strips have one
-  /// span; a 2D tile has one per mesh row it owns.
-  [[nodiscard]] const std::vector<TileRange>& spans(int t) const {
-    return spans_[static_cast<std::size_t>(t)];
-  }
+  /// The contiguous node-id range of tile t.
+  [[nodiscard]] TileRange range(int t) const { return ranges_[static_cast<std::size_t>(t)]; }
+  [[nodiscard]] int tile_nodes(int t) const { return range(t).hi - range(t).lo; }
 
+  /// Owning tile of `node`: a table lookup, for code that does not already
+  /// know the tile (serial sections, cross-tile targets).
   [[nodiscard]] int tile_of(int node) const {
     return node_tile_[static_cast<std::size_t>(node)];
   }
   [[nodiscard]] bool owns(int t, int node) const {
-    return node_tile_[static_cast<std::size_t>(node)] == t;
+    const TileRange r = range(t);
+    return node >= r.lo && node < r.hi;
   }
-
-  /// Dense index of `node` within its owning tile (ascending node-id order),
-  /// for per-tile arena lanes. Spans every node of the mesh.
-  [[nodiscard]] std::uint32_t local_of(int node) const {
-    return local_of_[static_cast<std::size_t>(node)];
-  }
-  /// Node count of tile t.
-  [[nodiscard]] int tile_nodes(int t) const { return tile_nodes_[static_cast<std::size_t>(t)]; }
-
-  /// First / one-past-last 64-bit bitmap word a tile's nodes touch. Boundary
-  /// words are shared with neighbouring tiles (a 4x4 mesh split 4 ways has
-  /// all tiles in word 0), which is why sharded bitmap updates go through
-  /// std::atomic_ref. For 2D tiles, interior words of this range may carry a
-  /// zero mask (rows interleave between tiles); scans skip them via
-  /// word_mask.
-  [[nodiscard]] std::size_t word_lo(int t) const { return word_lo_[static_cast<std::size_t>(t)]; }
-  [[nodiscard]] std::size_t word_hi(int t) const { return word_hi_[static_cast<std::size_t>(t)]; }
-  /// Bits of word w that belong to tile t (0 outside [word_lo, word_hi)).
-  [[nodiscard]] std::uint64_t word_mask(int t, std::size_t w) const {
-    return masks_[static_cast<std::size_t>(t)][w];
+  /// Dense index of `node` within tile t (ascending node-id order).
+  [[nodiscard]] std::uint32_t local_of(int t, int node) const {
+    return static_cast<std::uint32_t>(node - range(t).lo);
   }
 
  private:
-  void build(int nodes, std::vector<std::vector<TileRange>> spans) {
-    spans_ = std::move(spans);
-    NOCSIM_CHECK(spans_.size() <= 255);  // node_tile_ is uint8
-    node_tile_.assign(static_cast<std::size_t>(nodes), 0);
-    local_of_.assign(static_cast<std::size_t>(nodes), 0);
-    tile_nodes_.assign(spans_.size(), 0);
-    const std::size_t words = (static_cast<std::size_t>(nodes) + 63) / 64;
-    masks_.assign(spans_.size(), std::vector<std::uint64_t>(words, 0));
-    word_lo_.assign(spans_.size(), 0);
-    word_hi_.assign(spans_.size(), 0);
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-      std::uint32_t local = 0;
-      for (const TileRange& r : spans_[i]) {
-        NOCSIM_CHECK(r.lo < r.hi);
-        for (int n = r.lo; n < r.hi; ++n) {
-          node_tile_[static_cast<std::size_t>(n)] = static_cast<std::uint8_t>(i);
-          local_of_[static_cast<std::size_t>(n)] = local++;
-          masks_[i][static_cast<std::size_t>(n) / 64] |= 1ULL << (static_cast<std::size_t>(n) % 64);
-        }
-      }
-      tile_nodes_[i] = static_cast<int>(local);
-      word_lo_[i] = static_cast<std::size_t>(spans_[i].front().lo) / 64;
-      word_hi_[i] = (static_cast<std::size_t>(spans_[i].back().hi) + 63) / 64;
+  void build() {
+    NOCSIM_CHECK(ranges_.size() <= 255);  // node_tile_ is uint8
+    node_tile_.assign(static_cast<std::size_t>(ranges_.back().hi), 0);
+    for (std::size_t i = 0; i < ranges_.size(); ++i) {
+      NOCSIM_CHECK(ranges_[i].lo < ranges_[i].hi);
+      for (int n = ranges_[i].lo; n < ranges_[i].hi; ++n)
+        node_tile_[static_cast<std::size_t>(n)] = static_cast<std::uint8_t>(i);
     }
   }
 
-  std::vector<std::vector<TileRange>> spans_;  ///< [tile] -> ascending segments
+  std::vector<TileRange> ranges_;  ///< [tile] -> ascending, adjacent ranges
   std::vector<std::uint8_t> node_tile_;
-  std::vector<std::uint32_t> local_of_;        ///< node -> dense index in its tile
-  std::vector<int> tile_nodes_;
-  std::vector<std::vector<std::uint64_t>> masks_;  ///< [tile][word] ownership bits
-  std::vector<std::size_t> word_lo_, word_hi_;
+};
+
+/// One node bitmap per tile over tile-local ids: bit (n - lo) of tile t's
+/// words. Every word belongs to exactly one tile, so the owning tile reads
+/// and writes it without atomics; walking a tile's words lowest-first
+/// visits its nodes in ascending id order.
+class TileBits {
+ public:
+  TileBits() = default;
+  explicit TileBits(const ShardPlan& plan) {
+    words_.resize(static_cast<std::size_t>(plan.tiles()));
+    for (int t = 0; t < plan.tiles(); ++t) {
+      words_[static_cast<std::size_t>(t)].assign(
+          (static_cast<std::size_t>(plan.tile_nodes(t)) + 63) / 64, 0);
+    }
+  }
+
+  /// Tile t's words; bit b of word w is local id w*64 + b.
+  [[nodiscard]] std::vector<std::uint64_t>& words(int t) {
+    return words_[static_cast<std::size_t>(t)];
+  }
+  [[nodiscard]] bool test(int t, std::uint32_t local) const {
+    return (words_[static_cast<std::size_t>(t)][local >> 6] >> (local & 63)) & 1;
+  }
+  void set(int t, std::uint32_t local) {
+    words_[static_cast<std::size_t>(t)][local >> 6] |= std::uint64_t{1} << (local & 63);
+  }
+
+ private:
+  std::vector<std::vector<std::uint64_t>> words_;  ///< [tile][word]
 };
 
 }  // namespace nocsim

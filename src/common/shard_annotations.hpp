@@ -1,6 +1,6 @@
 // Shard-safety annotation vocabulary, checked by tools/nocsim_lint.
 //
-// PR 6's sharded cycle loop keeps metrics byte-identical to serial by a
+// The tiled cycle loop keeps metrics byte-identical at every tile count by a
 // write-ownership discipline: between barriers, tile T only writes per-node
 // state in its own row range, and cross-tile effects travel through halo
 // outboxes applied by the owner in the next phase. These markers make that
@@ -33,7 +33,7 @@
 //     ...
 //   });
 //   void Simulator::inject_tile(int tile) {
-//     NOCSIM_PHASE("deliver");             // static marker only: the
+//     NOCSIM_PHASE("inject");              // static marker only: the
 //     ...                                  // caller already set the scope
 //   }
 //

@@ -9,7 +9,8 @@
 // lands inside the current tile's row range — or, for cross-tile traffic,
 // that it goes through a halo outbox addressed from the writing tile to a
 // *different* tile. Outside any scope (tile -1, "serial") every write is
-// legal, so serial stepping and all non-sharded tests are unaffected.
+// legal, so serial sections and tests that drive a fabric directly are
+// unaffected.
 //
 // The checker is compiled in only when the NOCSIM_SHARD_CHECK CMake option
 // is ON (the `shardcheck` preset); release builds pay nothing, not even a

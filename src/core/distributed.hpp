@@ -33,7 +33,11 @@ struct DistributedCcParams {
 class DistributedCoordinator {
  public:
   DistributedCoordinator(int num_nodes, CcParams cc, DistributedCcParams dist)
-      : cc_(cc), dist_(dist), until_(num_nodes, 0), ipf_(num_nodes, IpfSeed()) {}
+      : cc_(cc),
+        dist_(dist),
+        until_(num_nodes, 0),
+        ipf_(num_nodes, IpfSeed()),
+        marks_(static_cast<std::size_t>(num_nodes), 0) {}
 
   /// Re-evaluate whether node n should be marking flits (call every
   /// mark_update_period cycles with the windowed sigma).
@@ -41,10 +45,12 @@ class DistributedCoordinator {
     return windowed_sigma > dist_.mark_threshold;
   }
 
-  /// A packet with the congested bit set completed at node n.
+  /// A packet with the congested bit set completed at node n. Touches only
+  /// node n's state, so the tile that owns n may call it concurrently with
+  /// other tiles.
   void on_marked_packet(NodeId n, Cycle now) {
     until_[n] = now + dist_.hold_cycles;
-    ++marks_received_;
+    ++marks_[static_cast<std::size_t>(n)];
   }
 
   /// Node n finished a local IPF epoch (local measurement only).
@@ -56,7 +62,12 @@ class DistributedCoordinator {
     return cc_.throttle_rate(ipf_[n]);
   }
 
-  [[nodiscard]] std::uint64_t marks_received() const { return marks_received_; }
+  /// Marked packets received, summed over nodes (serial sections).
+  [[nodiscard]] std::uint64_t marks_received() const {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t m : marks_) sum += m;
+    return sum;
+  }
   [[nodiscard]] const DistributedCcParams& params() const { return dist_; }
 
  private:
@@ -66,7 +77,7 @@ class DistributedCoordinator {
   DistributedCcParams dist_;
   std::vector<Cycle> until_;
   std::vector<double> ipf_;
-  std::uint64_t marks_received_ = 0;
+  std::vector<std::uint64_t> marks_;  ///< marked packets received, per node
 };
 
 }  // namespace nocsim

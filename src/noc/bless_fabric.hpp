@@ -21,16 +21,17 @@
 // writes each departing flit straight into the destination router's input
 // latch in the bank that becomes current `hop_latency` cycles later
 // (conflict-free by the one-flit-per-link-per-cycle invariant), so
-// begin_cycle() is a pointer swap and step() walks only the bank's active
-// bitmap — routers without arrivals or injections are never touched.
+// shard_begin() is a pointer swap and shard_route() walks only the bank's
+// active bitmap — routers without arrivals or injections are never touched.
 //
 // Memory layout (see DESIGN.md "Memory layout"): each latch bank stores
 // header and payload lanes separately (SoA), carved from one bump arena per
-// tile, so ejection/arbitration scans stream 20-byte headers and the cold
-// payload is copied once per hop. Halo outboxes are fixed-capacity arena
-// arrays (capacity = the tile pair's cross-link count) owned by the writing
-// tile; together with the shared occupancy bitmap words they are the only
-// cachelines two tiles both touch.
+// tile together with that tile's active-bitmap words, so ejection and
+// arbitration scans stream 20-byte headers and the cold payload is copied
+// once per hop. A latch write into another tile's router goes to a
+// fixed-capacity halo outbox (capacity = the tile pair's cross-link count)
+// owned by the writing tile; the outboxes are the only cachelines two
+// tiles both touch.
 #pragma once
 
 #include <array>
@@ -61,16 +62,13 @@ class BlessFabric final : public Fabric {
               BlessRouting routing = BlessRouting::StrictXY,
               NodeId table_cap = kRouteTableMaxNodes);
 
-  void begin_cycle(Cycle now) override;
   [[nodiscard]] bool can_accept(NodeId n) const override;
-  void step(Cycle now) override;
   [[nodiscard]] std::uint32_t oldest_inflight_inject_cycle() const override;
 
-  // Sharded stepping: begin_cycle is already a serial pointer swap (the
-  // default shard_begin), and there is nothing to deliver — arrivals were
-  // latched in place at departure. Only routing and the halo exchange of
-  // cross-tile latch writes are tile-parallel.
-  void set_shard_plan(const ShardPlan* plan) override;
+  // Arrivals were latched in place at departure, so there is nothing to
+  // deliver: shard_begin makes the arrival bank current, and only routing
+  // and the halo exchange of cross-tile latch writes are per tile.
+  void shard_begin(Cycle now) override;
   void shard_route(Cycle now, int tile) override;
   void shard_exchange(Cycle now, int tile) override;
 
@@ -84,28 +82,40 @@ class BlessFabric final : public Fabric {
   };
 
   /// One pipeline phase of arrival latches for the whole network, as
-  /// per-tile SoA lanes (serial runs are one tile spanning every node). The
-  /// bank at index `cycle % banks_.size()` holds exactly the flits arriving
-  /// that cycle; upstream routers wrote them in place `hop_latency` cycles
-  /// ago (that slot can never alias the writer's own current bank since
-  /// hop_latency % (hop_latency + 1) != 0). Lanes index [(local <<
-  /// lanes_shift_) + input slot] with `local` the node's dense index within
-  /// its tile and lanes_shift_ the power-of-two ceiling of the topology's
-  /// input-slot bound (4 slots on 2D grids — the PR 4 layout, unchanged —
-  /// and 8 for the 6-slot 3D families).
+  /// per-tile SoA lanes. The bank at index `cycle % banks_.size()` holds
+  /// exactly the flits arriving that cycle; upstream routers wrote them in
+  /// place `hop_latency` cycles ago (that slot can never alias the writer's
+  /// own current bank since hop_latency % (hop_latency + 1) != 0). Lanes
+  /// index [(local << lanes_shift_) + input slot] with `local` the node's
+  /// dense index within its tile and lanes_shift_ the power-of-two ceiling
+  /// of the topology's input-slot bound (4 slots on 2D grids, 8 for the
+  /// 6-slot 3D families).
   struct LatchBank {
-    std::vector<FlitHeader*> hdr;     ///< [tile] -> header lane
-    std::vector<FlitPayload*> pay;    ///< [tile] -> payload lane
-    std::vector<std::uint8_t*> valid; ///< [tile] -> port bitmask per local node
-    std::uint64_t* active = nullptr;  ///< one bit per node with valid != 0 (shared words)
+    std::vector<FlitHeader*> hdr;       ///< [tile] -> header lane
+    std::vector<FlitPayload*> pay;      ///< [tile] -> payload lane
+    std::vector<std::uint8_t*> valid;   ///< [tile] -> port bitmask per local node
+    std::vector<std::uint64_t*> active; ///< [tile] -> bit per local node with valid != 0
   };
 
-  /// One router's eject/inject/allocate/move step. The Sharded variant
-  /// writes counters to the tile's scratch, buffers eject records for the
-  /// merge-by-node replay, and routes cross-tile latch writes through the
-  /// halo outboxes instead of touching another tile's rows directly.
-  template <bool Sharded>
-  void route_node(Cycle now, NodeId n, int tile);
+  /// One tile's lanes of one bank, resolved once per tile step.
+  struct TileLanes {
+    FlitHeader* hdr;
+    FlitPayload* pay;
+    std::uint8_t* valid;
+    std::uint64_t* active;
+  };
+  [[nodiscard]] static TileLanes lanes_of(const LatchBank& b, int tile) {
+    const auto t = static_cast<std::size_t>(tile);
+    return TileLanes{b.hdr[t], b.pay[t], b.valid[t], b.active[t]};
+  }
+
+  /// One router's eject/inject/allocate/move step; `local` is n's index in
+  /// `tile`, `in` the tile's lanes of the current bank and `out` those of
+  /// the bank current at now + hop_latency. Counters go to the tile's
+  /// scratch, eject and trace records to its replay buffers, and latch
+  /// writes into another tile's router to the halo outboxes.
+  void route_node(Cycle now, NodeId n, std::uint32_t local, int tile, const TileLanes& in,
+                  const TileLanes& out);
 
   /// A latch write destined for a router another tile owns: applied by the
   /// *target* tile in shard_exchange, so every latch slot has exactly one
@@ -126,9 +136,9 @@ class BlessFabric final : public Fabric {
     std::uint32_t cap = 0;
   };
 
-  /// (Re)carve every latch lane and halo outbox from per-tile arenas for
-  /// the current plan (serial = one tile). Only legal on an empty network.
-  void rebuild_layout();
+  /// Carve every latch lane, bitmap word and halo outbox from per-tile
+  /// arenas.
+  void retile() override;
 
   BlessRouting routing_ NOCSIM_SHARED_READONLY;
   int slot_bound_ NOCSIM_SHARED_READONLY = kNumDirs;  ///< input slots in use
@@ -136,15 +146,13 @@ class BlessFabric final : public Fabric {
   /// Read-only after the ctor here, but the annotation table is name-keyed
   /// and BufferedFabric's nodes_ is genuinely tile-local mutable state.
   std::vector<NodeState> nodes_ NOCSIM_TILE_LOCAL;
-  /// One bump arena per tile holding that tile's latch lanes and outboxes,
-  /// plus a final shared arena for the occupancy bitmap words (the one lane
-  /// that is cross-tile by design: boundary words take atomic RMWs).
+  /// One bump arena per tile holding that tile's latch lanes, bitmap words
+  /// and outboxes.
   std::vector<Arena> arenas_ NOCSIM_TILE_LOCAL;
   /// Ring of hop_latency + 1 phases. Latch lanes are tile-owned; cross-tile
   /// writes detour through halo_ (runtime-checked).
   std::vector<LatchBank> banks_ NOCSIM_TILE_LOCAL;
   LatchBank* cur_ NOCSIM_SHARED_READONLY = nullptr;  ///< bank for the cycle begun last
-  Cycle last_begun_ NOCSIM_SHARED_READONLY = ~Cycle{0};
   std::vector<HaloBox> halo_ NOCSIM_HALO_ONLY;  ///< [src * tiles + dst]
 };
 

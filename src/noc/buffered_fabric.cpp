@@ -1,6 +1,5 @@
 #include "noc/buffered_fabric.hpp"
 
-#include <atomic>
 #include <bit>
 
 namespace nocsim {
@@ -8,8 +7,7 @@ namespace nocsim {
 BufferedFabric::BufferedFabric(const Topology& topo, int router_latency, int link_latency,
                                NodeId table_cap)
     : Fabric(topo, router_latency, link_latency, table_cap),
-      nodes_(topo.num_nodes()),
-      work_words_(word_count(topo.num_nodes()), 0) {
+      nodes_(topo.num_nodes()) {
   vc_classes_ = topo.has_wrap();
   for (NodeId n = 0; n < topo.num_nodes(); ++n) {
     auto& st = nodes_[n];
@@ -38,7 +36,7 @@ BufferedFabric::BufferedFabric(const Topology& topo, int router_latency, int lin
                      "irregular topology: routing tables form a cyclic channel "
                      "dependency graph (wormhole deadlock possible)");
   }
-  rebuild_links();
+  retile();
 }
 
 int BufferedFabric::route_port(NodeId n, NodeId dst) const {
@@ -62,12 +60,9 @@ std::uint8_t BufferedFabric::next_vc_state(NodeId n, int op, std::uint8_t vc_sta
   return state;
 }
 
-void BufferedFabric::rebuild_links() {
-  const ShardPlan* lp = plan_;  // null = serial: one tile spanning every node
-  const std::size_t t = lp != nullptr ? static_cast<std::size_t>(lp->tiles()) : 1;
-  const auto tile_of = [lp](NodeId n) {
-    return lp != nullptr ? static_cast<std::size_t>(lp->tile_of(n)) : std::size_t{0};
-  };
+void BufferedFabric::retile() {
+  const auto t = static_cast<std::size_t>(plan_.tiles());
+  const auto tile_of = [this](NodeId n) { return static_cast<std::size_t>(plan_.tile_of(n)); };
   // Ring bounds per tile: directed links landing in it (arrivals) and
   // leaving it (credits travel back to the link's source). Outbox bounds
   // per (src, dst) pair: the directed links crossing between them.
@@ -91,6 +86,7 @@ void BufferedFabric::rebuild_links() {
   NOCSIM_CHECK_MSG(in_network_ == 0 && on_links == 0,
                    "fabric layout rebuilt with flits or credits in flight");
 
+  work_bits_ = TileBits(plan_);
   const std::size_t arr_slots = static_cast<std::size_t>(hop_latency_) + 1;
   tile_links_.clear();
   tile_links_.resize(t);
@@ -116,44 +112,6 @@ void BufferedFabric::rebuild_links() {
       tl.out_cred[d] = {arena.alloc_array<CreditReturn>(cap), 0, cap};
     }
   }
-}
-
-template <bool Sharded>
-void BufferedFabric::deliver(Cycle now, int tile) {
-  TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
-  std::uint64_t writes = 0;
-  tl.arrivals.drain(now, [&](const LinkArrival& a) {
-    NOCSIM_SHARD_CHECK_WRITE(a.node, "fifo delivery (deliver)");
-    NodeState& st = nodes_[a.node];
-    st.in_vc[a.port][a.vc].fifo.push_back(a.h, a.p);
-    st.occ |= occ_bit(a.port, a.vc);
-    ++writes;
-    const std::uint64_t bit = std::uint64_t{1} << (a.node & 63);
-    std::uint64_t& word = work_words_[static_cast<std::size_t>(a.node) >> 6];
-    if constexpr (Sharded) {
-      std::atomic_ref<std::uint64_t>(word).fetch_or(bit, std::memory_order_relaxed);
-    } else {
-      word |= bit;
-    }
-  });
-  tl.credits.drain(now, [&](const CreditReturn& c) {
-    NOCSIM_SHARD_CHECK_WRITE(c.node, "credit delivery (deliver)");
-    auto& count = nodes_[c.node].credits[c.dir][c.vc];
-    NOCSIM_CHECK_MSG(count < kVcDepth, "credit overflow");
-    ++count;
-  });
-  if constexpr (Sharded) {
-    shard_tiles_[static_cast<std::size_t>(tile)].buffer_writes += writes;
-  } else {
-    stats_.buffer_writes += writes;
-  }
-}
-
-void BufferedFabric::begin_cycle(Cycle now) {
-  NOCSIM_CHECK_MSG(plan_ == nullptr, "serial begin_cycle on a sharded fabric");
-  NOCSIM_CHECK_MSG(last_begun_ != now, "begin_cycle called twice for one cycle");
-  last_begun_ = now;
-  deliver<false>(now, 0);
 }
 
 bool BufferedFabric::can_accept(NodeId n) const {
@@ -184,51 +142,60 @@ std::uint32_t BufferedFabric::oldest_inflight_inject_cycle() const {
   return oldest;
 }
 
-void BufferedFabric::set_shard_plan(const ShardPlan* plan) {
-  Fabric::set_shard_plan(plan);
-  rebuild_links();
-}
-
-void BufferedFabric::shard_begin(Cycle now) {
-  // Delivery moved to the tile-parallel shard_deliver; only the per-cycle
-  // protocol check stays serial.
-  NOCSIM_CHECK_MSG(last_begun_ != now, "begin_cycle called twice for one cycle");
-  last_begun_ = now;
-}
-
 void BufferedFabric::shard_deliver(Cycle now, int tile) {
   NOCSIM_PHASE("deliver");
-  deliver<true>(now, tile);
+  // Move the tile's arrivals and credits due now into its routers.
+  TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
+  ShardTile& ts = shard_tiles_[static_cast<std::size_t>(tile)];
+  std::uint64_t* const work = work_bits_.words(tile).data();
+  const NodeId lo = plan_.range(tile).lo;
+  std::uint64_t writes = 0;
+  tl.arrivals.drain(now, [&](const LinkArrival& a) {
+    NOCSIM_SHARD_CHECK_WRITE(a.node, "fifo delivery (shard_deliver)");
+    NodeState& st = nodes_[a.node];
+    st.in_vc[a.port][a.vc].fifo.push_back(a.h, a.p);
+    st.occ |= occ_bit(a.port, a.vc);
+    ++writes;
+    const auto local = static_cast<std::uint32_t>(a.node - lo);
+    work[local >> 6] |= std::uint64_t{1} << (local & 63);
+  });
+  ts.buffer_writes += writes;
+  tl.credits.drain(now, [&](const CreditReturn& c) {
+    NOCSIM_SHARD_CHECK_WRITE(c.node, "credit delivery (shard_deliver)");
+    auto& count = nodes_[c.node].credits[c.dir][c.vc];
+    NOCSIM_CHECK_MSG(count < kVcDepth, "credit overflow");
+    ++count;
+  });
 }
 
 void BufferedFabric::shard_route(Cycle now, int tile) {
   NOCSIM_PHASE("route");
-  // step()'s worklist walk restricted to this tile's bits; boundary words
-  // are shared between tiles, so loads, clears, and the carried-over
-  // "still busy" OR go through std::atomic_ref. No tile sets another
-  // tile's work bits during this phase (arrivals land in rings/outboxes).
-  const std::size_t whi = plan_->word_hi(tile);
-  for (std::size_t w = plan_->word_lo(tile); w < whi; ++w) {
-    const std::uint64_t mask = plan_->word_mask(tile, w);
-    std::atomic_ref<std::uint64_t> work(work_words_[w]);
-    std::atomic_ref<std::uint64_t> inject(inject_words_[w]);
-    std::uint64_t bits =
-        (work.load(std::memory_order_relaxed) | inject.load(std::memory_order_relaxed)) & mask;
+  // Visit the tile's routers with buffered flits or a pending injection
+  // only, in ascending node order (same order as a full scan, so the
+  // ejection sequence is unchanged). New work can only appear in
+  // shard_deliver (arrivals) or below (injections), so a bit cleared here
+  // stays clear for the rest of the cycle.
+  std::vector<std::uint64_t>& work_words = work_bits_.words(tile);
+  std::uint64_t* const work = work_words.data();
+  std::uint64_t* const inject = inject_bits_.words(tile).data();
+  const std::size_t words = work_words.size();
+  const NodeId lo = plan_.range(tile).lo;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t bits = work[w] | inject[w];
     if (bits == 0) continue;
-    work.fetch_and(~mask, std::memory_order_relaxed);
-    inject.fetch_and(~mask, std::memory_order_relaxed);
+    inject[w] = 0;
     std::uint64_t still = 0;
     do {
       const int b = std::countr_zero(bits);
       bits &= bits - 1;
-      const auto n = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
-      if (pending_inject_[n].requested) accept_injection<true>(now, n, tile);
+      const auto n = lo + static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
+      if (pending_inject_[n].requested) accept_injection(now, n, tile);
       if (nodes_[n].occ != 0) {
-        route_node<true>(now, n, tile);
-        if (nodes_[n].occ != 0) still |= std::uint64_t{1} << (n & 63);
+        route_node(now, n, tile);
+        if (nodes_[n].occ != 0) still |= std::uint64_t{1} << b;
       }
     } while (bits != 0);
-    if (still != 0) work.fetch_or(still, std::memory_order_relaxed);
+    work[w] = still;
   }
 }
 
@@ -257,14 +224,12 @@ void BufferedFabric::shard_exchange(Cycle now, int tile) {
   }
 }
 
-template <bool Sharded>
 void BufferedFabric::accept_injection(Cycle now, NodeId n, int tile) {
   NOCSIM_SHARD_CHECK_WRITE(n, "injection (accept_injection)");
   auto& st = nodes_[n];
-  (void)tile;
   Flit f = pending_inject_[n].flit;
   pending_inject_[n].requested = false;
-  f.inject_cycle = now;
+  f.inject_cycle = static_cast<std::uint32_t>(now);
 
   int vc = -1;
   if (st.inj_alloc_valid) {
@@ -291,55 +256,18 @@ void BufferedFabric::accept_injection(Cycle now, NodeId n, int tile) {
 
   st.in_vc[static_cast<int>(Dir::Local)][vc].fifo.push_back(header_of(f), payload_of(f));
   st.occ |= occ_bit(static_cast<int>(Dir::Local), vc);
-  if constexpr (Sharded) {
-    ShardTile& ts = shard_tiles_[static_cast<std::size_t>(tile)];
-    ++ts.net_delta;
-    ++ts.flits_injected;
-    ++ts.buffer_writes;
-  } else {
-    ++in_network_;
-    ++stats_.flits_injected;
-    ++stats_.buffer_writes;
-    if (trace_ != nullptr) trace_->on_inject(now, n, f);
-  }
+  ShardTile& ts = shard_tiles_[static_cast<std::size_t>(tile)];
+  ++ts.net_delta;
+  ++ts.flits_injected;
+  ++ts.buffer_writes;
+  if (trace_ != nullptr) ts.trace.push_back(TraceRecord{TraceKind::Inject, n, kInvalidNode, f});
 }
 
-void BufferedFabric::step(Cycle now) {
-  NOCSIM_CHECK_MSG(last_begun_ == now, "step without matching begin_cycle");
-  ++stats_.cycles;
-
-  // Visit routers with buffered flits or a pending injection only, in
-  // ascending node order (same order as a full scan, so the ejection
-  // sequence is unchanged). New work can only appear at begin_cycle
-  // (arrivals) or below (injections), so a bit cleared here stays clear for
-  // the rest of the cycle.
-  const std::size_t words = work_words_.size();
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t bits = work_words_[w] | inject_words_[w];
-    if (bits == 0) continue;
-    inject_words_[w] = 0;
-    std::uint64_t still = 0;
-    do {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      const auto n = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
-      if (pending_inject_[n].requested) accept_injection<false>(now, n, 0);
-      if (nodes_[n].occ != 0) {
-        route_node<false>(now, n, 0);
-        if (nodes_[n].occ != 0) still |= std::uint64_t{1} << (n & 63);
-      }
-    } while (bits != 0);
-    work_words_[w] = still;
-  }
-}
-
-template <bool Sharded>
 void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
   NOCSIM_SHARD_CHECK_WRITE(n, "router state (route_node)");
   auto& st = nodes_[n];
   TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
-  [[maybe_unused]] ShardTile* const ts =
-      Sharded ? &shard_tiles_[static_cast<std::size_t>(tile)] : nullptr;
+  ShardTile& ts = shard_tiles_[static_cast<std::size_t>(tile)];
 
   // Gather switch-allocation candidates: the head flits of the occupied
   // input VCs, insertion-sorted oldest first as they arrive. age_key() is
@@ -378,18 +306,17 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
   if (num_cands == 0) return;
 
   // Stage a link item for the tile that owns its target node: this tile's
-  // own ring (always, when serial), else the outbox to the owner.
+  // own ring, else the outbox to the owner.
+  const ShardPlan::TileRange own = plan_.range(tile);
   const auto stage = [&](auto& ring, auto& outboxes, Cycle at, NodeId target,
                          const auto& item) {
-    if constexpr (Sharded) {
-      const int dt = plan_->tile_of(target);
-      if (dt != tile) {
-        NOCSIM_SHARD_CHECK_HALO(tile, dt);
-        outboxes[static_cast<std::size_t>(dt)].push(item);
-        ++ts->halo_writes;
-        ts->halo_bytes += sizeof(item);
-        return;
-      }
+    if (target < own.lo || target >= own.hi) {
+      const int dt = plan_.tile_of(target);
+      NOCSIM_SHARD_CHECK_HALO(tile, dt);
+      outboxes[static_cast<std::size_t>(dt)].push(item);
+      ++ts.halo_writes;
+      ts.halo_bytes += sizeof(item);
+      return;
     }
     ring.push(at, item);
   };
@@ -431,15 +358,8 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
       // Ejection: no VC or credit needed; the NI sink always accepts.
       Flit out = assemble_flit(h, vcs.fifo.front_payload());
       pop(c, vcs);
-      if constexpr (Sharded) {
-        ++ts->buffer_reads;
-        eject_shard(n, out, *ts);
-      } else {
-        ++stats_.buffer_reads;
-        NOCSIM_DCHECK(in_network_ > 0);
-        --in_network_;
-        eject(now, n, out);
-      }
+      ++ts.buffer_reads;
+      eject(n, out, ts);
       continue;
     }
 
@@ -485,16 +405,11 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
     NOCSIM_CHECK_MSG(next != kInvalidNode, "routing chose a missing link");
     const LinkArrival arr{mh, p, next, st.dst_slot[static_cast<std::size_t>(op)],
                           static_cast<std::uint8_t>(ovc)};
-    if constexpr (Sharded) {
-      ++ts->buffer_reads;
-      ++ts->flit_hops;
-      ++ts->productive_hops;  // XY routing: every buffered hop is minimal
-    } else {
-      ++stats_.buffer_reads;
-      ++stats_.flit_hops;
-      ++stats_.productive_hops;  // XY routing: every buffered hop is minimal
-      if (trace_ != nullptr) trace_->on_hop(now, n, next, assemble_flit(mh, p));
-    }
+    ++ts.buffer_reads;
+    ++ts.flit_hops;
+    ++ts.productive_hops;  // XY routing: every buffered hop is minimal
+    if (trace_ != nullptr)
+      ts.trace.push_back(TraceRecord{TraceKind::Hop, n, next, assemble_flit(mh, p)});
     stage(tl.arrivals, tl.out_arr, now + static_cast<Cycle>(hop_latency_), next, arr);
 
     if (is_tail) {

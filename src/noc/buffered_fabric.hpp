@@ -25,8 +25,7 @@
 // bitmask of its non-empty (input slot, VC) FIFOs, so switch allocation
 // gathers only occupied heads; candidates are insertion-sorted by a packed
 // 128-bit age key (flit.hpp age_key) as they are gathered; and link traffic
-// rides fixed-capacity arena rings, one bank per tile (serial runs are one
-// tile spanning every node).
+// rides fixed-capacity arena rings, one bank per tile.
 #pragma once
 
 #include <array>
@@ -48,19 +47,15 @@ class BufferedFabric final : public Fabric {
   BufferedFabric(const Topology& topo, int router_latency = 2, int link_latency = 1,
                  NodeId table_cap = kRouteTableMaxNodes);
 
-  void begin_cycle(Cycle now) override;
   [[nodiscard]] bool can_accept(NodeId n) const override;
-  void step(Cycle now) override;
   [[nodiscard]] std::uint32_t oldest_inflight_inject_cycle() const override;
 
-  // Sharded stepping: each tile owns the link rings of the routers it
-  // owns (a tile delivers only its own routers' arrivals in shard_deliver),
-  // and route-phase pushes destined for another tile's ring travel through
-  // per-(src, dst)-tile outboxes applied in shard_exchange. Within one ring
-  // slot, arrivals target distinct (node, port, vc) FIFOs — one flit per
-  // link per cycle — so the redistribution cannot reorder any FIFO.
-  void set_shard_plan(const ShardPlan* plan) override;
-  void shard_begin(Cycle now) override;
+  // Each tile owns the link rings of the routers it owns (a tile delivers
+  // only its own routers' arrivals in shard_deliver), and route-phase
+  // pushes destined for another tile's ring travel through per-(src, dst)
+  // tile outboxes applied in shard_exchange. Within one ring slot, arrivals
+  // target distinct (node, port, vc) FIFOs — one flit per link per cycle —
+  // so the redistribution cannot reorder any FIFO.
   void shard_deliver(Cycle now, int tile) override;
   void shard_route(Cycle now, int tile) override;
   void shard_exchange(Cycle now, int tile) override;
@@ -232,7 +227,7 @@ class BufferedFabric final : public Fabric {
   };
 
   /// One tile's link state: the rings feeding the routers it owns, plus
-  /// outboxes for pushes that target another tile (sharded runs only).
+  /// outboxes for pushes that target another tile.
   struct TileLinks {
     LinkRing<LinkArrival> arrivals;           ///< hop_latency + 1 slots
     LinkRing<CreditReturn> credits;           ///< 2 slots (1-cycle credit wire)
@@ -254,16 +249,11 @@ class BufferedFabric final : public Fabric {
   /// [c*2, c*2+1] on a torus, any VC on a wrap-free topology.
   [[nodiscard]] static int vc_class_of(std::uint8_t vc_state) { return vc_state & 1; }
 
-  /// (Re)carve every tile's link rings and outboxes for the current plan
-  /// (serial = one tile). Only legal with nothing on the links.
-  void rebuild_links();
+  /// Carve every tile's link rings and outboxes and reset the work
+  /// bitmap. Only legal with nothing on the links.
+  void retile() override;
 
-  /// Move the tile's arrivals and credits for cycle `now` into its routers.
-  template <bool Sharded>
-  void deliver(Cycle now, int tile);
-  template <bool Sharded>
   void route_node(Cycle now, NodeId n, int tile);
-  template <bool Sharded>
   void accept_injection(Cycle now, NodeId n, int tile);
 
   /// Dateline VC classes active (any wrap link present — torus families).
@@ -275,12 +265,10 @@ class BufferedFabric final : public Fabric {
   std::vector<TileLinks> tile_links_ NOCSIM_TILE_LOCAL;
   /// One bump arena per tile backing that tile's rings and outboxes.
   std::vector<Arena> arenas_ NOCSIM_TILE_LOCAL;
-  /// Bitmap over nodes with occ != 0. Set on arrival delivery; a bit
-  /// survives step() until its router drains, so blocked routers are
-  /// revisited every cycle but empty ones are never scanned. Tile-local by
-  /// word range; boundary words are shared and use commutative atomic RMWs.
-  std::vector<std::uint64_t> work_words_ NOCSIM_TILE_LOCAL;
-  Cycle last_begun_ NOCSIM_SHARED_READONLY = ~Cycle{0};
+  /// Nodes with occ != 0. Set on arrival delivery; a bit survives
+  /// shard_route until its router drains, so blocked routers are revisited
+  /// every cycle but empty ones are never scanned.
+  TileBits work_bits_ NOCSIM_TILE_LOCAL;
 };
 
 }  // namespace nocsim

@@ -1,22 +1,16 @@
 // Fabric: a synchronous network of routers operated cycle by cycle.
 //
-// Per-cycle protocol between the node layer (network interfaces) and the
-// fabric:
-//
-//   1. begin_cycle(now)                 — fabric latches arrivals for `now`
-//   2. can_accept(n)                    — may node n inject one flit now?
-//   3. request_inject(n, flit)          — at most one per node per cycle;
-//                                         only legal if can_accept(n)
-//   4. step(now)                        — eject (sink callback), route, move
-//
 // can_accept() is exact, not advisory: if it returns true and the node
 // requests injection, the flit enters the network this cycle. This lets the
 // node layer implement the paper's Algorithm 3 throttling gate faithfully
 // (the gate's counter only advances on cycles where "an output link is
 // free").
+//
+// The routers are split into the tiles of a ShardPlan (one tile spanning
+// every node unless set_shard_plan says otherwise), and every cycle runs
+// the tile protocol documented below.
 #pragma once
 
-#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -48,10 +42,9 @@ struct FabricStats {
   std::uint64_t productive_hops = 0;
   std::uint64_t buffer_reads = 0;     ///< buffered fabric only
   std::uint64_t buffer_writes = 0;    ///< buffered fabric only
-  /// Cross-tile traffic staged through halo outboxes (sharded stepping
-  /// only; structurally zero in a serial run). Writes count staged records
-  /// (link traversals + credit returns), bytes count their storage size —
-  /// the quantity 2D tiling exists to shrink.
+  /// Cross-tile traffic staged through halo outboxes (structurally zero
+  /// with one tile). Writes count staged records (link traversals + credit
+  /// returns), bytes count their storage size.
   std::uint64_t halo_writes = 0;
   std::uint64_t halo_bytes = 0;
   StatAccumulator net_latency;        ///< inject -> eject, cycles
@@ -90,8 +83,10 @@ class Fabric {
          NodeId table_cap = kRouteTableMaxNodes)
       : topo_(topo),
         hop_latency_(router_latency + link_latency),
+        plan_(1, topo.num_nodes(), 1),
         pending_inject_(topo.num_nodes()),
-        inject_words_(word_count(topo.num_nodes()), 0),
+        inject_bits_(plan_),
+        shard_tiles_(1),
         node_deflections_(static_cast<std::size_t>(topo.num_nodes()), 0) {
     NOCSIM_CHECK(router_latency >= 1 && link_latency >= 1);
     // Flatten routing into per-(src, dst) tables when they fit: one packed
@@ -148,56 +143,52 @@ class Fabric {
 
   /// Attach (or detach, with nullptr) a flit-level event observer. The
   /// fabric does not own the sink; it must outlive the fabric or be
-  /// detached first. With no sink attached, every hook site reduces to one
-  /// null-pointer test (the telemetry off fast path).
-  void set_trace_sink(FlitEventSink* sink) {
-    NOCSIM_CHECK_MSG(sink == nullptr || plan_ == nullptr,
-                     "flit tracing is incompatible with sharded stepping");
-    trace_ = sink;
-  }
+  /// detached first. Tiles record events into their own buffers and
+  /// shard_finish replays them into the sink in tile order, which is the
+  /// ascending-node order of a one-tile run. With no sink attached, every
+  /// hook site reduces to one null-pointer test.
+  void set_trace_sink(FlitEventSink* sink) { trace_ = sink; }
 
-  // --------------------------------------------------------------- sharding
+  // ------------------------------------------------------ per-cycle protocol
   //
-  // Sharded per-cycle protocol, replacing begin_cycle()/step() when a plan
-  // is set (the caller provides the barriers between phases):
+  // Every cycle runs these steps in order. The steps that take a tile run
+  // once per tile of the plan; tiles of one step may run concurrently, with
+  // a barrier between steps (the caller provides it):
   //
-  //   1. shard_begin(now)            — serial prologue (latch-bank swap)
-  //   2. shard_deliver(now, tile)    — parallel: deliver tile-local wheel
-  //                                    arrivals/credits (buffered only)
-  //   3. (caller injects via can_accept/request_inject, tile-parallel)
-  //   4. shard_route(now, tile)      — parallel: route the tile's routers;
-  //                                    off-tile link writes go to outboxes
-  //   5. shard_exchange(now, tile)   — parallel: apply halo writes *to* tile
-  //   6. shard_finish(now)           — serial: fold per-tile counters and
-  //                                    replay buffered ejects merged by node
-  //                                    id (bit-identical to serial)
+  //   1. shard_begin(now)            serial prologue
+  //   2. shard_deliver(now, tile)    link arrivals and credits due now
+  //                                  reach the tile's routers
+  //   3. can_accept(n) / request_inject(n, flit), for the tile's own nodes
+  //   4. shard_route(now, tile)      eject, inject and route the tile's
+  //                                  routers; link writes to another tile's
+  //                                  router go to a halo outbox
+  //   5. shard_exchange(now, tile)   apply the outbox writes addressed to
+  //                                  this tile
+  //   6. shard_finish(now)           serial: fold the tile counters, replay
+  //                                  eject statistics and trace events
   //
-  // Each tile emits at most one eject per node per cycle, in ascending
-  // node-id order (tiles walk their bitmap words lowest-first), so a k-way
-  // merge of the tile buffers by node id reproduces the serial
-  // ascending-node event order exactly — for contiguous row strips this
-  // degenerates to plain ascending-tile concatenation, and it stays exact
-  // for non-contiguous 2D tiles. 64-bit worklist words that straddle tile
-  // boundaries are updated through std::atomic_ref with commutative RMWs
-  // (fetch_or/fetch_and), whose final value is order-independent.
+  // Every write in steps 2-5 lands in state the running tile owns: its
+  // routers, its bitmap words, its scratch, or its own outboxes. Each tile
+  // records at most one eject per node per cycle, in ascending node order,
+  // and tiles are contiguous node ranges, so concatenating the tile
+  // buffers in tile order is the one-tile order: results are identical for
+  // every tile count. begin_cycle()/step() below run the protocol on the
+  // calling thread.
 
-  /// Enable (plan != nullptr) or disable sharded stepping. Must be called
-  /// before any cycle runs; incompatible with an attached trace sink.
-  /// Fabrics override to size their tile-local scratch (and call the base).
-  virtual void set_shard_plan(const ShardPlan* plan) {
-    NOCSIM_CHECK_MSG(plan == nullptr || trace_ == nullptr,
-                     "flit tracing is incompatible with sharded stepping");
+  /// Re-tile the fabric. Only legal on an empty network, before the first
+  /// cycle; a no-op for the plan already in use.
+  void set_shard_plan(const ShardPlan& plan) {
+    if (plan == plan_) return;
     plan_ = plan;
-    shard_tiles_.clear();
-    eject_cursor_.clear();
-    if (plan != nullptr) {
-      shard_tiles_.resize(static_cast<std::size_t>(plan->tiles()));
-      eject_cursor_.resize(static_cast<std::size_t>(plan->tiles()), 0);
-    }
+    inject_bits_ = TileBits(plan_);
+    shard_tiles_.assign(static_cast<std::size_t>(plan_.tiles()), ShardTile{});
+    retile();
   }
-  [[nodiscard]] const ShardPlan* shard_plan() const { return plan_; }
 
-  virtual void shard_begin(Cycle now) { begin_cycle(now); }
+  virtual void shard_begin(Cycle now) {
+    NOCSIM_CHECK_MSG(last_begun_ != now, "cycle begun twice");
+    last_begun_ = now;
+  }
   virtual void shard_deliver(Cycle now, int tile) {
     (void)now;
     (void)tile;
@@ -205,16 +196,15 @@ class Fabric {
   virtual void shard_route(Cycle now, int tile) = 0;
   virtual void shard_exchange(Cycle now, int tile) = 0;
 
-  /// Serial epilogue: fold per-tile counters into stats_ and replay the
-  /// buffered ejections merged across tiles by node id. Each tile records
-  /// at most one eject per node per cycle in ascending node order, so the
-  /// merge is the serial ascending-node eject order and the Welford
-  /// accumulators see the exact same add sequence — whether tiles are
-  /// contiguous row strips or 2D rectangles.
-  virtual void shard_finish(Cycle now) {
+  /// Serial epilogue: fold the per-tile counters into stats_, then replay
+  /// the buffered ejections into the order-sensitive accumulators and the
+  /// trace events into the sink, tile after tile.
+  void shard_finish(Cycle now) {
+    NOCSIM_CHECK_MSG(last_begun_ == now, "cycle finished without a matching begin");
     ++stats_.cycles;
     for (ShardTile& ts : shard_tiles_) {
       stats_.flits_injected += ts.flits_injected;
+      stats_.flits_ejected += ts.ejects.size();
       stats_.flit_hops += ts.flit_hops;
       stats_.deflections += ts.deflections;
       stats_.productive_hops += ts.productive_hops;
@@ -222,53 +212,64 @@ class Fabric {
       stats_.buffer_writes += ts.buffer_writes;
       stats_.halo_writes += ts.halo_writes;
       stats_.halo_bytes += ts.halo_bytes;
+      stats_.flit_hops_delivered += ts.flit_hops_delivered;
+      stats_.min_hops_total += ts.min_hops_total;
       in_network_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(in_network_) +
                                                ts.net_delta);
-    }
-    const std::size_t tiles = shard_tiles_.size();
-    for (std::size_t t = 0; t < tiles; ++t) eject_cursor_[t] = 0;
-    for (;;) {
-      std::size_t best = tiles;
-      NodeId best_at = 0;
-      for (std::size_t t = 0; t < tiles; ++t) {
-        const ShardTile& ts = shard_tiles_[t];
-        if (eject_cursor_[t] >= ts.ejects.size()) continue;
-        const NodeId at = ts.ejects[eject_cursor_[t]].at;
-        if (best == tiles || at < best_at) {
-          best = t;
-          best_at = at;
+      for (const EjectRecord& e : ts.ejects) {
+        stats_.net_latency.add(static_cast<double>(now - e.inject_cycle));
+        stats_.total_latency.add(static_cast<double>(now - e.enqueue_cycle));
+        stats_.hops_per_flit.add(static_cast<double>(e.hops));
+        stats_.deflections_per_flit.add(static_cast<double>(e.deflections));
+      }
+      if (trace_ != nullptr) {
+        for (const TraceRecord& r : ts.trace) {
+          switch (r.kind) {
+            case TraceKind::Inject:
+              trace_->on_inject(now, r.at, r.flit);
+              break;
+            case TraceKind::Hop:
+              trace_->on_hop(now, r.at, r.to, r.flit);
+              break;
+            case TraceKind::Deflect:
+              trace_->on_deflect(now, r.at, r.flit);
+              break;
+            case TraceKind::Eject:
+              trace_->on_eject(now, r.at, r.flit);
+              break;
+          }
         }
       }
-      if (best == tiles) break;
-      eject_stats(now, shard_tiles_[best].ejects[eject_cursor_[best]].flit);
-      ++eject_cursor_[best];  // sink_ already ran on the tile thread
+      ts.reset();
     }
-    for (ShardTile& ts : shard_tiles_) ts.reset();
   }
 
-  virtual void begin_cycle(Cycle now) = 0;
+  /// The protocol on the calling thread, every tile in order, split at the
+  /// injection point: begin_cycle() runs steps 1-2, step() runs 4-6. For
+  /// fabric tests and micro-benchmarks that drive a fabric directly.
+  void begin_cycle(Cycle now) {
+    shard_begin(now);
+    for (int t = 0; t < plan_.tiles(); ++t) shard_deliver(now, t);
+  }
+  void step(Cycle now) {
+    for (int t = 0; t < plan_.tiles(); ++t) shard_route(now, t);
+    for (int t = 0; t < plan_.tiles(); ++t) shard_exchange(now, t);
+    shard_finish(now);
+  }
+
   [[nodiscard]] virtual bool can_accept(NodeId n) const = 0;
 
   /// Hand one flit to node n's router for injection this cycle.
-  /// Pre: can_accept(n) was true after this cycle's begin_cycle().
-  /// Sharded: callable concurrently from different tiles for their own
-  /// nodes — the slot is tile-owned, and the shared bitmap word is updated
-  /// with a commutative atomic OR.
+  /// Pre: can_accept(n) was true after this cycle's begin. Called by the
+  /// tile that owns n: the slot and its bitmap word are that tile's.
   void request_inject(NodeId n, const Flit& f) {
     NOCSIM_SHARD_CHECK_WRITE(n, "injection slot (request_inject)");
     NOCSIM_DCHECK(!pending_inject_[n].requested);
     pending_inject_[n].flit = f;
     pending_inject_[n].requested = true;
-    const std::size_t w = static_cast<std::size_t>(n) >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (n & 63);
-    if (plan_ != nullptr) {
-      std::atomic_ref<std::uint64_t>(inject_words_[w]).fetch_or(bit, std::memory_order_relaxed);
-    } else {
-      inject_words_[w] |= bit;
-    }
+    const int t = plan_.tile_of(n);
+    inject_bits_.set(t, plan_.local_of(t, n));
   }
-
-  virtual void step(Cycle now) = 0;
 
   /// True when no flit is in a router, on a link, or in an internal buffer.
   [[nodiscard]] bool empty() const { return in_network_ == 0; }
@@ -328,10 +329,6 @@ class Fabric {
     Flit flit;
     bool requested = false;
   };
-
-  static constexpr std::size_t word_count(NodeId nodes) {
-    return (static_cast<std::size_t>(nodes) + 63) / 64;
-  }
 
   /// Table-accelerated Topology::route_preference, with an analytic inline
   /// path for grid families above the route-table cap (virtual fallback
@@ -406,33 +403,32 @@ class Fabric {
     return topo_.distance(a, b);
   }
 
-  void eject_stats(Cycle now, const Flit& f) {
-    ++stats_.flits_ejected;
-    stats_.net_latency.add(static_cast<double>(now - f.inject_cycle));
-    stats_.total_latency.add(static_cast<double>(now - f.enqueue_cycle));
-    stats_.hops_per_flit.add(static_cast<double>(f.hops));
-    stats_.deflections_per_flit.add(static_cast<double>(f.deflections));
-    stats_.flit_hops_delivered += f.hops;
-    stats_.min_hops_total += static_cast<std::uint64_t>(hop_distance(f.src, f.dst));
-  }
+  /// (Re)carve the fabric's own tile storage for plan_. Only legal on an
+  /// empty network.
+  virtual void retile() = 0;
 
-  void eject(Cycle now, NodeId at, Flit& f) {
-    eject_stats(now, f);
-    if (trace_ != nullptr) trace_->on_eject(now, at, f);
-    if (sink_) sink_(at, f);
-  }
+  /// What the serial replay of one ejection needs: the inputs of the
+  /// order-sensitive latency/hop accumulators (the commutative counters are
+  /// summed on the tile).
+  struct EjectRecord {
+    std::uint32_t inject_cycle;
+    std::uint32_t enqueue_cycle;
+    std::uint16_t hops;
+    std::uint16_t deflections;
+  };
 
-  /// One ejection recorded during a sharded route phase: the sink runs
-  /// immediately (the tile owns the node's NI state), the accumulator
-  /// updates are deferred to shard_finish's ascending-tile replay.
-  struct ShardEject {
-    NodeId at;
+  enum class TraceKind : std::uint8_t { Inject, Hop, Deflect, Eject };
+  /// One flit event, buffered on the tile for shard_finish's replay.
+  struct TraceRecord {
+    TraceKind kind;
+    NodeId at;  ///< router (hop: the source)
+    NodeId to;  ///< hop target; unused otherwise
     Flit flit;
   };
 
-  /// Per-tile scratch accumulated during one sharded cycle: plain counters
-  /// (commutative — summed in shard_finish) plus the order-sensitive eject
-  /// records (replayed serially). Reset every cycle; the vector keeps its
+  /// Per-tile scratch of one cycle: plain counters (commutative, summed in
+  /// shard_finish) plus the order-sensitive eject and trace records
+  /// (replayed serially). Reset every cycle; the vectors keep their
   /// capacity, so the steady-state cycle is allocation-free.
   struct ShardTile {
     std::uint64_t flits_injected = 0;
@@ -443,22 +439,32 @@ class Fabric {
     std::uint64_t buffer_writes = 0;
     std::uint64_t halo_writes = 0;
     std::uint64_t halo_bytes = 0;
+    std::uint64_t flit_hops_delivered = 0;
+    std::uint64_t min_hops_total = 0;
     std::int64_t net_delta = 0;  ///< in_network_ delta (injected - ejected)
-    std::vector<ShardEject> ejects;
+    std::vector<EjectRecord> ejects;
+    std::vector<TraceRecord> trace;
 
     void reset() {
       flits_injected = flit_hops = deflections = 0;
       productive_hops = buffer_reads = buffer_writes = 0;
       halo_writes = halo_bytes = 0;
+      flit_hops_delivered = min_hops_total = 0;
       net_delta = 0;
       ejects.clear();
+      trace.clear();
     }
   };
 
-  void eject_shard(NodeId at, const Flit& f, ShardTile& ts) {
-    NOCSIM_SHARD_CHECK_WRITE(at, "ejection (eject_shard)");
+  /// A flit leaves the network at `at`: the sink runs now (the tile owns
+  /// the node's NI state), the accumulator updates wait for shard_finish.
+  void eject(NodeId at, const Flit& f, ShardTile& ts) {
+    NOCSIM_SHARD_CHECK_WRITE(at, "ejection (eject)");
     --ts.net_delta;
-    ts.ejects.push_back(ShardEject{at, f});
+    ts.flit_hops_delivered += f.hops;
+    ts.min_hops_total += static_cast<std::uint64_t>(hop_distance(f.src, f.dst));
+    ts.ejects.push_back(EjectRecord{f.inject_cycle, f.enqueue_cycle, f.hops, f.deflections});
+    if (trace_ != nullptr) ts.trace.push_back(TraceRecord{TraceKind::Eject, at, kInvalidNode, f});
     if (sink_) sink_(at, f);
   }
 
@@ -469,15 +475,16 @@ class Fabric {
   // Shard-ownership annotations (common/shard_annotations.hpp): tile-local
   // state is writable per node only by the owning tile during phases;
   // shared-readonly state is written from serial sections (ctor,
-  // shard_begin/shard_finish, the non-sharded step()) only.
+  // shard_begin/shard_finish) only.
   const Topology& topo_;
   const int hop_latency_;  ///< cycles from one router's input latch to the next's
+  ShardPlan plan_ NOCSIM_SHARED_READONLY;
   std::vector<InjectSlot> pending_inject_ NOCSIM_TILE_LOCAL;
-  /// Bitmap over nodes with a pending injection request; fabrics OR it into
-  /// their arrival worklist in step() (and clear the consumed words) so an
-  /// inject-only router is still visited without scanning every node.
-  /// Boundary words are shared and use commutative atomic RMWs.
-  std::vector<std::uint64_t> inject_words_ NOCSIM_TILE_LOCAL;
+  /// Nodes with a pending injection request; fabrics OR a tile's words into
+  /// their route worklist (and clear them) so an inject-only router is
+  /// still visited without scanning every node.
+  TileBits inject_bits_ NOCSIM_TILE_LOCAL;
+  std::vector<ShardTile> shard_tiles_ NOCSIM_TILE_LOCAL;  ///< one per tile
   std::vector<std::uint8_t> route_tab_ NOCSIM_SHARED_READONLY;   ///< packed RoutePreference
   std::vector<std::uint16_t> dist_tab_ NOCSIM_SHARED_READONLY;   ///< hop distances, or empty
   TopoKind analytic_ NOCSIM_SHARED_READONLY = TopoKind::Generic;
@@ -490,9 +497,7 @@ class Fabric {
   std::uint64_t in_network_ NOCSIM_SHARED_READONLY = 0;    ///< flits injected minus ejected
   std::vector<std::uint64_t> node_deflections_ NOCSIM_TILE_LOCAL;  ///< per-router
   std::vector<std::uint8_t> marking_ NOCSIM_SHARED_READONLY;  ///< empty unless distributed CC
-  const ShardPlan* plan_ NOCSIM_SHARED_READONLY = nullptr;    ///< null = serial stepping
-  std::vector<ShardTile> shard_tiles_ NOCSIM_TILE_LOCAL;  ///< one per tile when sharded
-  std::vector<std::size_t> eject_cursor_ NOCSIM_SHARED_READONLY;  ///< shard_finish merge scratch
+  Cycle last_begun_ NOCSIM_SHARED_READONLY = ~Cycle{0};
 };
 
 }  // namespace nocsim

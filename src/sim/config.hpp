@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/shard.hpp"
 #include "common/types.hpp"
 #include "core/controller.hpp"
 #include "core/distributed.hpp"
@@ -85,17 +84,10 @@ struct SimConfig {
   /// tiles, one worker thread per tile, inside a single simulation. Results
   /// are byte-identical to shards = 1 for every value (order-sensitive
   /// reductions are buffered per tile and replayed in ascending tile order).
-  /// CcMode::Distributed forces the serial path (per-cycle coordinator).
   int shards = 1;
-  /// 2D tiling alternative to `shards`: cols x rows rectangular tiles.
-  /// Rectangle perimeters cross fewer links than full-width strip seams, so
-  /// halo traffic per tile drops from O(side) to O(side/sqrt(tiles)). Same
-  /// byte-identity guarantee as row strips. Mutually exclusive with
-  /// shards > 1; inactive (0x0) by default.
-  ShardDims shard_dims;
   /// Emit fabric.halo_writes / fabric.halo_bytes telemetry columns. Off by
-  /// default: telemetry CSVs are byte-identical between serial and sharded
-  /// runs of one config, and these columns are structurally zero serially.
+  /// default: telemetry CSVs are byte-identical across shard counts of one
+  /// config, and these columns are structurally zero with one tile.
   bool telemetry_halo = false;
   /// Livelock/starvation watchdogs (opt-in; see src/sim/simulator.cpp,
   /// watchdog_check). When enabled, every `period` cycles the simulator

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <atomic>
 #include <bit>
 
 #include "cpu/file_trace.hpp"
@@ -17,10 +16,22 @@ std::uint64_t splitmix_of(std::uint64_t seed, std::uint64_t stream) {
   std::uint64_t s = seed ^ (0x7107 + stream * 0x9e3779b97f4a7c15ULL);
   return splitmix64(s);
 }
+
+/// The router tiling. Grid families map to (width, height*depth) rows (z
+/// layers stack as extra rows); irregular graphs have no grid to tile, so
+/// they split as contiguous node-id strips of a 1-wide column.
+ShardPlan router_plan(const SimConfig& c) {
+  NOCSIM_CHECK_MSG(c.shards >= 1, "shards must be >= 1");
+  if (c.topology == "irregular") return ShardPlan(1, c.num_nodes(), c.shards);
+  return ShardPlan(c.width, c.height * c.depth, c.shards);
+}
 }  // namespace
 
 Simulator::Simulator(SimConfig config, WorkloadSpec workload)
-    : config_(std::move(config)), workload_(std::move(workload)) {
+    : config_(std::move(config)),
+      workload_(std::move(workload)),
+      plan_(router_plan(config_)),
+      core_plan_(plan_) {
   const int n = config_.num_nodes();
   const int ncores = config_.num_cores();
   NOCSIM_CHECK_MSG(static_cast<int>(workload_.app_names.size()) == ncores,
@@ -109,67 +120,26 @@ Simulator::Simulator(SimConfig config, WorkloadSpec workload)
     cores_[i]->prewarm(config_.prewarm_instructions);
   }
 
-  ni_work_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
-  core_work_.assign((static_cast<std::size_t>(ncores) + 63) / 64, 0);
+  NOCSIM_CHECK(plan_.nodes() == n);
+  core_plan_ = plan_.scaled(conc_);
+  fabric_->set_shard_plan(plan_);
+  team_ = std::make_unique<ShardTeam>(plan_.tiles());
+  tiles_.resize(static_cast<std::size_t>(plan_.tiles()));
+  for (SimTile& t : tiles_) t.l2_wheel.resize(config_.l2_latency + 1);
+  ni_work_ = TileBits(plan_);
+  core_work_ = TileBits(core_plan_);
   core_synced_.assign(static_cast<std::size_t>(ncores), 0);
   for (NodeId i = 0; i < ncores; ++i) {
-    if (cores_[i]) {
-      core_work_[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
-    }
+    if (!cores_[i]) continue;
+    const int t = core_plan_.tile_of(i);
+    core_work_.set(t, core_plan_.local_of(t, i));
   }
-  l2_wheel_.resize(config_.l2_latency + 1);
   telemetry_.resize(n);
   staged_rates_.assign(n, 0.0);
   epoch_ipf_.resize(n);
   if (config_.watchdog.enabled) {
     NOCSIM_CHECK_MSG(config_.watchdog.period >= 1, "watchdog period must be >= 1");
     wd_blocked_over_.assign(static_cast<std::size_t>(n), 0);
-  }
-
-  NOCSIM_CHECK_MSG(config_.shards >= 1, "shards must be >= 1");
-  NOCSIM_CHECK_MSG(!(config_.shard_dims.active() && config_.shards > 1),
-                   "set shards or shard_dims, not both");
-  // Distributed CC pulls a coordinator rate into every NI every cycle and
-  // scans all nodes; it stays on the serial path.
-  if ((config_.shards > 1 || config_.shard_dims.active()) && !distributed_) {
-    // The plan partitions ROUTERS. Grid families map to (width, height*depth)
-    // rows (z layers stack as extra rows); irregular graphs have no grid to
-    // tile, so they shard as contiguous node-id strips of a 1-wide column.
-    if (topo_->kind() == Topology::Kind::Irregular) {
-      NOCSIM_CHECK_MSG(!config_.shard_dims.active(),
-                       "irregular topology supports --shards row strips only");
-      plan_.emplace(1, n, config_.shards);
-    } else if (config_.shard_dims.active()) {
-      plan_.emplace(config_.width, config_.height * config_.depth, config_.shard_dims);
-    } else {
-      plan_.emplace(config_.width, config_.height * config_.depth, config_.shards);
-    }
-    if (plan_->tiles() > 1) {
-      sharded_ = true;
-      fabric_->set_shard_plan(&*plan_);
-      tiles_.resize(static_cast<std::size_t>(plan_->tiles()));
-      l2_cursor_.resize(static_cast<std::size_t>(plan_->tiles()));
-      team_ = std::make_unique<ShardTeam>(plan_->tiles());
-      // Core-bitmap word masks per tile (the plan's masks cover routers).
-      const std::size_t cwords = core_work_.size();
-      const auto tiles = static_cast<std::size_t>(plan_->tiles());
-      core_masks_.assign(tiles, std::vector<std::uint64_t>(cwords, 0));
-      core_word_lo_.assign(tiles, cwords);
-      core_word_hi_.assign(tiles, 0);
-      for (NodeId c = 0; c < ncores; ++c) {
-        const auto t = static_cast<std::size_t>(plan_->tile_of(c / conc_));
-        core_masks_[t][static_cast<std::size_t>(c) >> 6] |= std::uint64_t{1} << (c & 63);
-      }
-      for (std::size_t t = 0; t < tiles; ++t) {
-        for (std::size_t w = 0; w < cwords; ++w) {
-          if (core_masks_[t][w] == 0) continue;
-          if (core_word_lo_[t] > w) core_word_lo_[t] = w;
-          core_word_hi_[t] = w + 1;
-        }
-      }
-    } else {
-      plan_.reset();  // one tile: nothing to split
-    }
   }
 }
 
@@ -197,34 +167,23 @@ void Simulator::sync_ni(NodeId n, Cycle upto) {
 
 void Simulator::wake_ni(NodeId n, Cycle upto) {
   sync_ni(n, upto);
-  const std::size_t w = static_cast<std::size_t>(n) >> 6;
-  const std::uint64_t bit = std::uint64_t{1} << (n & 63);
-  if (sharded_) {
-    // Bitmap words straddle tile boundaries; the OR is commutative, so a
-    // relaxed RMW keeps concurrent wakes from neighbouring tiles exact.
-    std::atomic_ref<std::uint64_t>(ni_work_[w]).fetch_or(bit, std::memory_order_relaxed);
-  } else {
-    ni_work_[w] |= bit;
-  }
+  const int t = plan_.tile_of(n);
+  ni_work_.set(t, plan_.local_of(t, n));
 }
 
 void Simulator::wake_core(NodeId n) {
   // n is a CORE id; ownership checks index the router-partitioned plan.
   NOCSIM_SHARD_CHECK_WRITE(router_of(n), "core wake (wake_core)");
-  const std::size_t w = static_cast<std::size_t>(n) >> 6;
-  const std::uint64_t bit = std::uint64_t{1} << (n & 63);
-  if (sharded_) {
-    // Only the owning tile fills (and thus wakes) a core, but the word can
-    // straddle a tile boundary: the commutative OR keeps neighbours exact.
-    std::atomic_ref<std::uint64_t> ref(core_work_[w]);
-    if ((ref.load(std::memory_order_relaxed) & bit) != 0) return;
-    cores_[n]->skip_blocked(now_ - core_synced_[n]);
-    ref.fetch_or(bit, std::memory_order_relaxed);
-  } else {
-    if ((core_work_[w] & bit) != 0) return;
-    cores_[n]->skip_blocked(now_ - core_synced_[n]);
-    core_work_[w] |= bit;
-  }
+  const int t = core_plan_.tile_of(n);
+  const std::uint32_t local = core_plan_.local_of(t, n);
+  if (core_work_.test(t, local)) return;
+  cores_[n]->skip_blocked(now_ - core_synced_[n]);
+  core_work_.set(t, local);
+}
+
+bool Simulator::core_awake(NodeId n) const {
+  const int t = core_plan_.tile_of(n);
+  return core_work_.test(t, core_plan_.local_of(t, n));
 }
 
 void Simulator::enqueue_packet(FlitRing& q, NodeId src, NodeId dst, PacketKind kind,
@@ -250,16 +209,10 @@ void Simulator::on_miss(NodeId n, Addr block) {
   NOCSIM_SHARD_CHECK_WRITE(rtr, "miss bookkeeping (on_miss)");
   const NodeId home = mapper_->home(rtr, block);
   if (home == rtr) {
-    // Local slice: no network traversal, just the L2 service latency. Under
-    // sharding this fires on a tile thread (core phase): buffer the push and
-    // fold it into the wheel in ascending tile order from the serial finish.
-    if (sharded_) {
-      tiles_[static_cast<std::size_t>(plan_->tile_of(rtr))].l2_core.push_back(
-          PendingL2{home, n, block});
-    } else {
-      l2_wheel_[(now_ + config_.l2_latency) % l2_wheel_.size()].push_back(
-          PendingL2{home, n, block});
-    }
+    // Local slice: no network traversal, just the L2 service latency.
+    tiles_[static_cast<std::size_t>(plan_.tile_of(rtr))]
+        .l2_wheel[(now_ + config_.l2_latency) % (config_.l2_latency + 1)]
+        .push_back(PendingL2{home, n, block});
     return;
   }
   Ni& ni = nis_[rtr];
@@ -283,16 +236,12 @@ void Simulator::on_flit_ejected(NodeId at, const Flit& f) {
   // Latency distributions (per-flit, like the fabric's mean accumulators).
   const double net = static_cast<double>(now_ - f.inject_cycle);
   const double total = static_cast<double>(now_ - f.enqueue_cycle);
-  // Under sharding this fires on a tile thread (route phase): accumulate in
-  // the tile's scratch histograms. Histogram counts/min/max are exactly
-  // commutative, so the collect()-time fold is bit-identical to serial adds.
-  LatencyHistograms* all = &lat_all_;
-  std::array<LatencyHistograms, kNumIntensityClasses>* cls = &lat_class_;
-  if (sharded_) {
-    SimTile& st = tiles_[static_cast<std::size_t>(plan_->tile_of(at))];
-    all = &st.lat_all;
-    cls = &st.lat_class;
-  }
+  // Fires on the tile thread that owns `at` (route phase): accumulate in the
+  // tile's histograms. Histogram counts/min/max are exactly commutative, so
+  // the collect()-time fold is bit-identical to one-tile adds.
+  SimTile& st = tiles_[static_cast<std::size_t>(plan_.tile_of(at))];
+  LatencyHistograms* all = &st.lat_all;
+  std::array<LatencyHistograms, kNumIntensityClasses>* cls = &st.lat_class;
   all->net.add(net);
   all->total.add(total);
   // Attribute to the app that owns the flit: a Request belongs to its
@@ -312,16 +261,10 @@ void Simulator::on_packet(NodeId at, const Flit& header) {
   switch (header.kind) {
     case PacketKind::Request:
       // Perfect shared L2: always hits; respond after the service latency.
-      // Sharded: the reassembly sink fires on a tile thread during the route
-      // phase — buffer per tile, fold serially in ascending tile order.
       NOCSIM_DCHECK(header.dst == at);
-      if (sharded_) {
-        tiles_[static_cast<std::size_t>(plan_->tile_of(at))].l2_route.push_back(
-            PendingL2{at, header.origin, header.addr});
-      } else {
-        l2_wheel_[(now_ + config_.l2_latency) % l2_wheel_.size()].push_back(
-            PendingL2{at, header.origin, header.addr});
-      }
+      tiles_[static_cast<std::size_t>(plan_.tile_of(at))]
+          .l2_wheel[(now_ + config_.l2_latency) % (config_.l2_latency + 1)]
+          .push_back(PendingL2{at, header.origin, header.addr});
       break;
     case PacketKind::Response: {
       // The response ejects at the origin core's router; fill that core.
@@ -348,16 +291,20 @@ void Simulator::on_packet(NodeId at, const Flit& header) {
   }
 }
 
-void Simulator::deliver_l2(Cycle now) {
-  auto& due = l2_wheel_[now % l2_wheel_.size()];
+void Simulator::deliver_l2(Cycle now, int tile) {
+  NOCSIM_PHASE("begin");
+  // Pushes made this cycle target a different slot (l2_latency %
+  // (l2_latency + 1) != 0), so the due slot is stable while it drains.
+  auto& due = tiles_[static_cast<std::size_t>(tile)].l2_wheel[now % (config_.l2_latency + 1)];
   for (const PendingL2& p : due) {
+    NOCSIM_SHARD_CHECK_WRITE(p.home, "l2 delivery (deliver_l2)");
     if (p.home == router_of(p.requester)) {
       wake_core(p.requester);
       cores_[p.requester]->on_fill(p.block, now);
       continue;
     }
     Ni& home_ni = nis_[p.home];
-    // deliver_l2 runs before this cycle's injection loop: the woken NI will
+    // Delivery runs before this cycle's injection step: the woken NI will
     // be processed for now_ itself, so replay only the cycles before it.
     wake_ni(p.home, now);
     enqueue_packet(home_ni.response_q, p.home, router_of(p.requester), PacketKind::Response,
@@ -367,32 +314,7 @@ void Simulator::deliver_l2(Cycle now) {
   due.clear();
 }
 
-void Simulator::deliver_l2_shard(Cycle now, int tile) {
-  // Every tile scans the full due list and services only its own home
-  // slices (for local fills home == the requester's router, so one owner
-  // either way). The slot is cleared once, in the serial part of
-  // step_sharded — pushes made this cycle target a different slot
-  // (l2_latency % (l2_latency + 1) != 0), so the stale entries are never
-  // re-read.
-  NOCSIM_PHASE("deliver");
-  const auto& due = l2_wheel_[now % l2_wheel_.size()];
-  for (const PendingL2& p : due) {
-    if (!plan_->owns(tile, p.home)) continue;
-    NOCSIM_SHARD_CHECK_WRITE(p.home, "l2 delivery (deliver_l2_shard)");
-    if (p.home == router_of(p.requester)) {
-      wake_core(p.requester);
-      cores_[p.requester]->on_fill(p.block, now);
-      continue;
-    }
-    Ni& home_ni = nis_[p.home];
-    wake_ni(p.home, now);
-    enqueue_packet(home_ni.response_q, p.home, router_of(p.requester), PacketKind::Response,
-                   p.block, config_.response_flits, home_ni.next_seq++,
-                   /*origin=*/p.requester);
-  }
-}
-
-void Simulator::ni_inject(NodeId n) {
+bool Simulator::ni_inject(NodeId n) {
   NOCSIM_SHARD_CHECK_WRITE(n, "ni injection (ni_inject)");
   Ni& ni = nis_[n];
   NOCSIM_DCHECK(ni.synced_to == now_);
@@ -411,14 +333,7 @@ void Simulator::ni_inject(NodeId n) {
     ni.starvation_net.record(false);
     ni.blocked_streak = 0;
     // Drained: go to sleep. sync_ni replays the idle cycles on wake-up.
-    // Under distributed CC the worklist is unused (full scan every cycle).
-    if (sharded_) {
-      std::atomic_ref<std::uint64_t>(ni_work_[static_cast<std::size_t>(n) >> 6])
-          .fetch_and(~(std::uint64_t{1} << (n & 63)), std::memory_order_relaxed);
-    } else {
-      ni_work_[static_cast<std::size_t>(n) >> 6] &= ~(std::uint64_t{1} << (n & 63));
-    }
-    return;
+    return false;
   }
   // Network-admission starvation: wants to inject but the router has no
   // free slot — congestion proper, independent of the throttling gate. The
@@ -448,7 +363,7 @@ void Simulator::ni_inject(NodeId n) {
         if (!ni.throttler.allow()) {
           ni.starvation.record(true);  // Algorithm 3: block injection, starved
           ++ni.blocked_streak;
-          return;
+          return true;
         }
         pick = (has_response && (ni.response_turn || !has_request)) ? 1 : 2;
       } else if (has_response && (ni.response_turn || !has_request)) {
@@ -460,7 +375,7 @@ void Simulator::ni_inject(NodeId n) {
       } else {
         ni.starvation.record(true);  // Algorithm 3: block injection, starved
         ++ni.blocked_streak;
-        return;
+        return true;
       }
     }
     auto& q = (pick == 1) ? ni.response_q : ni.request_q;
@@ -481,6 +396,7 @@ void Simulator::ni_inject(NodeId n) {
   } else {
     ++ni.blocked_streak;
   }
+  return true;
 }
 
 void Simulator::epoch_update() {
@@ -633,195 +549,98 @@ void Simulator::watchdog_check() {
   }
 }
 
-void Simulator::fold_l2(std::vector<PendingL2>& slot, bool by_home) {
-  const std::size_t tiles = tiles_.size();
-  for (std::size_t t = 0; t < tiles; ++t) l2_cursor_[t] = 0;
-  for (;;) {
-    std::size_t best = tiles;
-    NodeId best_key = 0;
-    for (std::size_t t = 0; t < tiles; ++t) {
-      const auto& buf = by_home ? tiles_[t].l2_route : tiles_[t].l2_core;
-      if (l2_cursor_[t] >= buf.size()) continue;
-      const PendingL2& p = buf[l2_cursor_[t]];
-      const NodeId key = by_home ? p.home : p.requester;
-      if (best == tiles || key < best_key) {
-        best = t;
-        best_key = key;
-      }
-    }
-    if (best == tiles) break;
-    const auto& buf = by_home ? tiles_[best].l2_route : tiles_[best].l2_core;
-    slot.push_back(buf[l2_cursor_[best]]);
-    ++l2_cursor_[best];
-  }
-  for (SimTile& t : tiles_) (by_home ? t.l2_route : t.l2_core).clear();
-}
-
 void Simulator::inject_tile(int tile) {
-  // Tile-masked walk of the injection worklist, same snapshot-then-scan
-  // shape as the serial loop. The load sees this thread's own wakes from
-  // deliver_l2_shard; other tiles only touch other bits of shared words.
-  NOCSIM_PHASE("deliver");
-  const std::size_t whi = plan_->word_hi(tile);
-  for (std::size_t w = plan_->word_lo(tile); w < whi; ++w) {
-    std::uint64_t bits =
-        std::atomic_ref<std::uint64_t>(ni_work_[w]).load(std::memory_order_relaxed) &
-        plan_->word_mask(tile, w);
+  NOCSIM_PHASE("inject");
+  const NodeId lo = plan_.range(tile).lo;
+  if (distributed_) {
+    // Per-cycle rate updates: every NI-cycle is observable, no skipping.
+    for (NodeId i = lo; i < plan_.range(tile).hi; ++i) ni_inject(i);
+    return;
+  }
+  // Only NIs with queued flits; sleeping NIs are replayed on wake-up.
+  std::vector<std::uint64_t>& words = ni_work_.words(tile);
+  const std::size_t count = words.size();
+  for (std::size_t w = 0; w < count; ++w) {
+    std::uint64_t bits = words[w];
     while (bits != 0) {
       const int b = std::countr_zero(bits);
       bits &= bits - 1;
-      ni_inject(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
+      if (!ni_inject(lo + static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b))))
+        words[w] &= ~(std::uint64_t{1} << b);
     }
   }
 }
 
-void Simulator::step_sharded() {
-  // The same cycle as step(), with every node-indexed phase tile-parallel
-  // and a barrier between phases. Order-sensitive side effects (Welford
-  // adds at ejection, L2 wheel push order) were buffered per tile by the
-  // phases and are folded here in ascending tile order — identical to the
-  // serial ascending-node order because tiles are contiguous row strips.
-  {
-    ProfScope ps(prof_, phase_.begin, 0);
-    fabric_->shard_begin(now_);
+void Simulator::core_tile(int tile) {
+  NOCSIM_PHASE("core");
+  // Only runnable cores; a core that ends the cycle blocked on the network
+  // sleeps until a fill wakes it (wake_core replays the skipped cycles).
+  const NodeId lo = core_plan_.range(tile).lo;
+  std::vector<std::uint64_t>& words = core_work_.words(tile);
+  const std::size_t count = words.size();
+  for (std::size_t w = 0; w < count; ++w) {
+    std::uint64_t bits = words[w];
+    while (bits != 0) {
+      const int b = std::countr_zero(bits);
+      bits &= bits - 1;
+      const NodeId i = lo + static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
+      Core& core = *cores_[i];
+      core.step(now_);
+      if (core.blocked()) {
+        words[w] &= ~(std::uint64_t{1} << b);
+        core_synced_[static_cast<std::size_t>(i)] = now_ + 1;
+      }
+    }
   }
-  // begin_phase tells the profiler which phase's barrier the team is about to
-  // spin on, so worker wait time lands in the right (phase, tile) slot. The
-  // write is serial, published by the team's epoch release.
-  if (prof_ != nullptr) prof_->begin_phase(phase_.deliver);
+}
+
+void Simulator::step() {
+  // Each team_->run is one tile step on every tile, with a full barrier
+  // after it (the fabric protocol in noc/fabric.hpp). begin_phase tells the
+  // profiler which phase a barrier wait belongs to; the write is serial,
+  // published by the team's epoch release.
+  fabric_->shard_begin(now_);
+  if (prof_ != nullptr) prof_->begin_phase(phase_.inject);
   team_->run([this](int t) {
-    NOCSIM_PHASE("deliver", &*plan_, t);
-    const std::uint64_t pt0 = prof_begin(prof_);
+    NOCSIM_PHASE("inject", &plan_, t);
+    std::uint64_t pt0 = prof_begin(prof_);
     fabric_->shard_deliver(now_, t);
-    deliver_l2_shard(now_, t);
+    deliver_l2(now_, t);
+    prof_end(prof_, phase_.begin, t, pt0);
+    pt0 = prof_begin(prof_);
     inject_tile(t);
-    prof_end(prof_, phase_.deliver, t, pt0);
+    prof_end(prof_, phase_.inject, t, pt0);
   });
   if (prof_ != nullptr) prof_->begin_phase(phase_.route);
   team_->run([this](int t) {
-    NOCSIM_PHASE("route", &*plan_, t);
+    NOCSIM_PHASE("route", &plan_, t);
     const std::uint64_t pt0 = prof_begin(prof_);
     fabric_->shard_route(now_, t);
     prof_end(prof_, phase_.route, t, pt0);
   });
   if (prof_ != nullptr) prof_->begin_phase(phase_.exchange);
   team_->run([this](int t) {
-    NOCSIM_PHASE("exchange", &*plan_, t);
+    NOCSIM_PHASE("exchange", &plan_, t);
     const std::uint64_t pt0 = prof_begin(prof_);
     fabric_->shard_exchange(now_, t);
     prof_end(prof_, phase_.exchange, t, pt0);
   });
   if (prof_ != nullptr) prof_->begin_phase(phase_.core);
   team_->run([this](int t) {
-    NOCSIM_PHASE("core", &*plan_, t);
+    NOCSIM_PHASE("core", &plan_, t);
     const std::uint64_t pt0 = prof_begin(prof_);
-    // Tile-masked walk of the runnable-core worklist (see the serial loop).
-    // The masks come from core_masks_, not the plan: the plan partitions
-    // routers and the core id space is conc_ times larger. Sleep decisions
-    // clear only this tile's bits; boundary words are shared with
-    // neighbours, so the clear is an atomic RMW.
-    const std::size_t whi = core_word_hi_[static_cast<std::size_t>(t)];
-    for (std::size_t w = core_word_lo_[static_cast<std::size_t>(t)]; w < whi; ++w) {
-      std::uint64_t bits =
-          std::atomic_ref<std::uint64_t>(core_work_[w]).load(std::memory_order_relaxed) &
-          core_masks_[static_cast<std::size_t>(t)][w];
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const auto i = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
-        Core& core = *cores_[i];
-        core.step(now_);
-        if (core.blocked()) {
-          std::atomic_ref<std::uint64_t>(core_work_[w])
-              .fetch_and(~(std::uint64_t{1} << (i & 63)), std::memory_order_relaxed);
-          core_synced_[static_cast<std::size_t>(i)] = now_ + 1;
-        }
-      }
-    }
+    core_tile(t);
     prof_end(prof_, phase_.core, t, pt0);
   });
   {
     ProfScope ps(prof_, phase_.epilogue, 0);
     fabric_->shard_finish(now_);
-
-    // Fold the buffered L2 pushes in serial program order: the route phase's
-    // ejected requests first (merged by home = ejection node), then the core
-    // phase's local-slice hits (merged by requester); clear the consumed due
-    // slot.
-    l2_wheel_[now_ % l2_wheel_.size()].clear();
-    auto& slot = l2_wheel_[(now_ + config_.l2_latency) % l2_wheel_.size()];
-    fold_l2(slot, /*by_home=*/true);
-    fold_l2(slot, /*by_home=*/false);
-
     if ((now_ + 1) % config_.cc_params.epoch == 0) epoch_update();
     if (config_.watchdog.enabled && (now_ + 1) % config_.watchdog.period == 0) watchdog_check();
-    if (hub_ != nullptr && (now_ + 1) % hub_period_ == 0) {
-      for (NodeId i = 0; i < config_.num_nodes(); ++i) sync_ni(i, now_ + 1);
-      hub_->sample(now_);
-    }
-  }
-  if (prof_ != nullptr && (now_ + 1) % config_.cc_params.epoch == 0) prof_->tick(now_);
-  ++now_;
-}
-
-void Simulator::step() {
-  if (sharded_) {
-    step_sharded();
-    return;
-  }
-  {
-    ProfScope ps(prof_, phase_.begin, 0);
-    fabric_->begin_cycle(now_);
-    deliver_l2(now_);
-  }
-  const int n = config_.num_nodes();
-  {
-    ProfScope ps(prof_, phase_.inject, 0);
-    if (distributed_) {
-      // Per-cycle rate updates: every NI-cycle is observable, no skipping.
-      for (NodeId i = 0; i < n; ++i) ni_inject(i);
-    } else {
-      // Only NIs with queued flits; sleeping NIs are replayed on wake-up.
-      for (std::size_t w = 0; w < ni_work_.size(); ++w) {
-        std::uint64_t bits = ni_work_[w];
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          ni_inject(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
-        }
-      }
-    }
-  }
-  {
-    ProfScope ps(prof_, phase_.route, 0);
-    fabric_->step(now_);
-  }
-  {
-    ProfScope ps(prof_, phase_.core, 0);
-    // Only runnable cores; a core that ends the cycle blocked on the network
-    // sleeps until a fill wakes it (wake_core replays the skipped cycles).
-    for (std::size_t w = 0; w < core_work_.size(); ++w) {
-      std::uint64_t bits = core_work_[w];
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const auto i = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
-        Core& core = *cores_[i];
-        core.step(now_);
-        if (core.blocked()) {
-          core_work_[w] &= ~(std::uint64_t{1} << (i & 63));
-          core_synced_[static_cast<std::size_t>(i)] = now_ + 1;
-        }
-      }
-    }
-  }
-  {
-    ProfScope ps(prof_, phase_.epilogue, 0);
-    if ((now_ + 1) % config_.cc_params.epoch == 0) epoch_update();
-    if (config_.watchdog.enabled && (now_ + 1) % config_.watchdog.period == 0) watchdog_check();
-    // Sample after epoch_update so an epoch-cadence row carries the values the
-    // controller consumed (sigma, IPF) and produced (rates, congested flag)
-    // *this* cycle. Null hub = one pointer test per cycle.
+    // Sample after epoch_update so an epoch-cadence row carries the values
+    // the controller consumed (sigma, IPF) and produced (rates, congested
+    // flag) *this* cycle. Null hub = one pointer test per cycle.
+    const int n = config_.num_nodes();
     if (hub_ != nullptr && (now_ + 1) % hub_period_ == 0) {
       // Gauges read sigma windows and counters of every NI directly.
       for (NodeId i = 0; i < n; ++i) sync_ni(i, now_ + 1);
@@ -856,8 +675,7 @@ void Simulator::begin_measurement() {
     if (cores_[i]) {
       // A sleeping core's skipped window-full cycles are still uncredited;
       // flush them so the reset wipes exactly what eager stepping had.
-      if ((core_work_[static_cast<std::size_t>(i) >> 6] &
-           (std::uint64_t{1} << (i & 63))) == 0) {
+      if (!core_awake(i)) {
         cores_[i]->skip_blocked(now_ - core_synced_[static_cast<std::size_t>(i)]);
         core_synced_[static_cast<std::size_t>(i)] = now_;
       }
@@ -872,8 +690,6 @@ void Simulator::begin_measurement() {
   }
   epochs_at_measure_start_ = controller_->epochs_total();
   congested_epochs_at_measure_start_ = controller_->epochs_congested();
-  lat_all_ = LatencyHistograms{};
-  lat_class_.fill(LatencyHistograms{});
   for (SimTile& t : tiles_) {
     t.lat_all = LatencyHistograms{};
     t.lat_class.fill(LatencyHistograms{});
@@ -893,8 +709,7 @@ SimResult Simulator::collect(Cycle measured_cycles) {
   for (NodeId i = 0; i < config_.num_nodes(); ++i) sync_ni(i, now_);
   for (NodeId i = 0; i < config_.num_cores(); ++i) {
     // Credit sleeping cores' skipped cycles so CoreStats are exact.
-    if (cores_[i] && (core_work_[static_cast<std::size_t>(i) >> 6] &
-                      (std::uint64_t{1} << (i & 63))) == 0) {
+    if (cores_[i] && !core_awake(i)) {
       cores_[i]->skip_blocked(now_ - core_synced_[static_cast<std::size_t>(i)]);
       core_synced_[static_cast<std::size_t>(i)] = now_;
     }
@@ -947,20 +762,16 @@ SimResult Simulator::collect(Cycle measured_cycles) {
       controller_->epochs_congested() - congested_epochs_at_measure_start_;
   result.congested_epoch_fraction =
       epochs ? static_cast<double>(congested) / static_cast<double>(epochs) : 0.0;
-  if (sharded_) {
-    // Fold the per-tile histograms (bin counts and min/max are exactly
-    // commutative, so the fold order is immaterial).
-    for (const SimTile& t : tiles_) {
-      lat_all_.net.merge(t.lat_all.net);
-      lat_all_.total.merge(t.lat_all.total);
-      for (std::size_t c = 0; c < lat_class_.size(); ++c) {
-        lat_class_[c].net.merge(t.lat_class[c].net);
-        lat_class_[c].total.merge(t.lat_class[c].total);
-      }
+  // Fold the per-tile histograms (bin counts and min/max are exactly
+  // commutative, so the fold order is immaterial).
+  for (const SimTile& t : tiles_) {
+    result.latency.net.merge(t.lat_all.net);
+    result.latency.total.merge(t.lat_all.total);
+    for (std::size_t c = 0; c < result.latency_by_class.size(); ++c) {
+      result.latency_by_class[c].net.merge(t.lat_class[c].net);
+      result.latency_by_class[c].total.merge(t.lat_class[c].total);
     }
   }
-  result.latency = lat_all_;
-  result.latency_by_class = lat_class_;
   return result;
 }
 
@@ -1004,8 +815,8 @@ void Simulator::attach_telemetry(TelemetryHub* hub) {
   hub_->add_gauge("fabric.in_flight",
                   [this] { return static_cast<double>(fabric_->in_flight()); });
   if (config_.telemetry_halo) {
-    // Opt-in: these columns would break the serial-vs-sharded CSV
-    // byte-identity of one config (structurally zero on the serial path).
+    // Opt-in: these columns would break the CSV byte-identity of one config
+    // across shard counts (structurally zero with one tile).
     hub_->add_counter("fabric.halo_writes", [this] { return fabric_->stats().halo_writes; });
     hub_->add_counter("fabric.halo_bytes", [this] { return fabric_->stats().halo_bytes; });
   }
@@ -1048,24 +859,22 @@ void Simulator::attach_profiler(PhaseProfiler* prof) {
   NOCSIM_CHECK(prof != nullptr);
   NOCSIM_CHECK_MSG(prof_ == nullptr, "profiler already attached");
   // Registration order fixes the dense phase ids (and the track order in the
-  // merged Chrome trace). Serial runs use begin/inject/route/core/epilogue;
-  // sharded runs use begin/deliver/route/exchange/core/epilogue — deliver
-  // subsumes the serial inject phase (fabric delivery + L2 + NI injection run
-  // in one tile pass).
+  // merged Chrome trace). Every tile records begin (fabric and L2 delivery),
+  // inject, route, exchange and core once per cycle; tile 0 also records
+  // the serial epilogue.
   phase_.begin = prof->register_phase("begin");
-  phase_.deliver = prof->register_phase("deliver");
   phase_.inject = prof->register_phase("inject");
   phase_.route = prof->register_phase("route");
   phase_.exchange = prof->register_phase("exchange");
   phase_.core = prof->register_phase("core");
   phase_.epilogue = prof->register_phase("epilogue");
-  prof->set_tiles(sharded_ ? plan_->tiles() : 1);
+  prof->set_tiles(plan_.tiles());
   prof->enable();
   prof_ = prof;
   // Route the ShardTeam's barrier-spin measurements into the profiler; the
   // probe is picked up by workers with an acquire load, so mid-run attachment
   // is race-free (at worst the very first barrier goes unmeasured).
-  if (team_) team_->set_probe(prof->team_probe());
+  team_->set_probe(prof->team_probe());
 }
 
 void Simulator::attach_events(EventLog* log) {

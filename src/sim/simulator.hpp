@@ -4,16 +4,19 @@
 // This is the paper's methodology (§6.1): a cycle-level model in which the
 // network's backpressure feeds back into the cores' presented load. Every
 // cycle:
-//   1. the fabric latches arrivals (begin_cycle);
-//   2. due L2 responses/local fills are delivered to the NIs;
-//   3. every NI attempts to inject at most one flit — responses first and
+//   1. the fabric latches arrivals and due L2 responses/local fills are
+//      delivered to the NIs;
+//   2. every NI attempts to inject at most one flit — responses first and
 //      never throttled, then requests through the Algorithm 3 gate — and
 //      records its starvation bit;
-//   4. the fabric routes and moves flits; ejections flow through packet
+//   3. the fabric routes and moves flits; ejections flow through packet
 //      reassembly into the L2 slices (requests) and cores (responses);
-//   5. cores retire and issue; L1 misses enqueue new request packets;
-//   6. at epoch boundaries the congestion controller updates throttle
+//   4. cores retire and issue; L1 misses enqueue new request packets;
+//   5. at epoch boundaries the congestion controller updates throttle
 //      rates from (IPF, sigma) telemetry.
+// Steps 1-4 run per tile of a ShardPlan (config.shards row strips; one
+// tile by default), the tiles of a step in parallel; step 5 and the fabric's
+// replay run serially. Results are identical for every tile count.
 #pragma once
 
 #include <memory>
@@ -138,16 +141,18 @@ class Simulator {
     Addr block;
   };
 
+  /// One cycle: the tile steps on the ShardTeam with a barrier between
+  /// them, then the serial epilogue.
   void step();
-  /// One cycle of the sharded pipeline (config.shards > 1): phase-parallel
-  /// over row-strip tiles with barriers in between, bit-identical to step().
-  void step_sharded();
-  /// Tile t's slice of deliver_l2: every tile scans the full due list and
-  /// services only its own home slices; the slot is cleared serially.
-  void deliver_l2_shard(Cycle now, int tile);
-  /// Tile t's slice of the injection worklist walk.
+  /// Tile t's L2 deliveries due now (its own home slices' wheel).
+  void deliver_l2(Cycle now, int tile);
+  /// Tile t's NI injections: the NI worklist, or every NI under
+  /// distributed CC.
   void inject_tile(int tile);
-  void ni_inject(NodeId n);
+  /// Tile t's runnable cores.
+  void core_tile(int tile);
+  /// One cycle of NI n; false when both queues are empty (the NI sleeps).
+  bool ni_inject(NodeId n);
   /// src/dst are routers; origin is the core the packet works for (equal to
   /// src/dst except on concentrated topologies), stamped into every flit so
   /// ejection can attribute it without a router->core guess.
@@ -164,17 +169,11 @@ class Simulator {
   /// network), credit the skipped window-full cycles and re-arm its
   /// core_work_ bit so the core phase steps it again from this cycle on.
   void wake_core(NodeId n);
-  /// Merge the per-tile PendingL2 buffers (l2_route when by_home, else
-  /// l2_core) into `slot` in serial push order and clear them. Entries
-  /// within a tile ascend strictly by the merge key (at most one ejection /
-  /// one core miss per node per cycle), and a node belongs to exactly one
-  /// tile, so the k-way merge by key reproduces the serial ascending-node
-  /// order for row strips and 2D tiles alike.
-  void fold_l2(std::vector<PendingL2>& slot, bool by_home);
+  /// Whether core n is on the runnable worklist (serial sections).
+  [[nodiscard]] bool core_awake(NodeId n) const;
   void on_miss(NodeId n, Addr block);
   void on_flit_ejected(NodeId at, const Flit& f);
   void on_packet(NodeId at, const Flit& header);
-  void deliver_l2(Cycle now);
   void epoch_update();
   /// Provenance: compare the controller's staged rates against the last
   /// decision, emit throttle/hotspot/starvation events with the inputs
@@ -203,50 +202,41 @@ class Simulator {
   /// everywhere except cmesh). Core id c maps to router c / conc_.
   int conc_ NOCSIM_SHARED_READONLY = 1;
 
+  /// Row-strip tiles over ROUTERS (config.shards; one tile by default), and
+  /// the same tiles over CORE ids (router r's cores are r*conc_ ..).
+  ShardPlan plan_ NOCSIM_SHARED_READONLY;
+  ShardPlan core_plan_ NOCSIM_SHARED_READONLY;
+  std::unique_ptr<ShardTeam> team_ NOCSIM_SHARED_READONLY;
+
   std::vector<std::unique_ptr<Core>> cores_ NOCSIM_TILE_LOCAL;  ///< per CORE; null = idle
   std::vector<Ni> nis_ NOCSIM_TILE_LOCAL;  ///< per ROUTER
-  /// Bitmap over NIs with a non-empty queue: the step() injection loop walks
-  /// only these. Disabled (full scan) under distributed CC, whose per-cycle
-  /// rate updates make every NI-cycle observable. Bits are set by wake_ni
-  /// and cleared by ni_inject when a node's queues drain. Tile-local by
-  /// word range; boundary words are shared and use commutative atomic RMWs.
-  std::vector<std::uint64_t> ni_work_ NOCSIM_TILE_LOCAL;
-  /// Bitmap over cores that can make progress. A core whose window is full
-  /// with the head instruction waiting on the network (Core::blocked) is
-  /// put to sleep by the core phase: each skipped cycle is a pure
-  /// window-full count, replayed by wake_core when a fill arrives. Fills
-  /// always originate on the node's owning tile, so under sharding only the
-  /// owner RMWs a node's bit; boundary words are shared and use atomics.
-  std::vector<std::uint64_t> core_work_ NOCSIM_TILE_LOCAL;
+  /// NIs with a non-empty queue: the injection step walks only these
+  /// (unused under distributed CC, whose per-cycle rate updates make every
+  /// NI-cycle observable). Bits are set by wake_ni and cleared by the
+  /// injection walk when ni_inject finds both queues drained.
+  TileBits ni_work_ NOCSIM_TILE_LOCAL;
+  /// Cores that can make progress (over core_plan_). A core whose window
+  /// is full with the head instruction waiting on the network
+  /// (Core::blocked) is put to sleep by the core phase: each skipped cycle
+  /// is a pure window-full count, replayed by wake_core when a fill
+  /// arrives. Fills always originate on the core's own tile.
+  TileBits core_work_ NOCSIM_TILE_LOCAL;
   /// Per sleeping core: first cycle whose skipped step() has not been
   /// credited yet. Meaningful only while the core_work_ bit is clear.
   std::vector<Cycle> core_synced_ NOCSIM_TILE_LOCAL;
-  std::vector<std::vector<PendingL2>> l2_wheel_ NOCSIM_SHARED_READONLY;
 
-  /// Per-tile scratch for the sharded cycle loop. Order-sensitive side
-  /// effects produced on tile threads are buffered here and folded serially
-  /// — merged across tiles by node id (see fold_l2), which reproduces the
-  /// serial ascending-node order whether tiles are contiguous row strips or
-  /// 2D rectangles — so the folded state is bit-identical to what the
-  /// serial loop would have produced.
+  /// Per-tile state of the cycle loop. The L2 service wheel holds the
+  /// pending responses of the tile's own home slices (slot = cycle %
+  /// (l2_latency + 1)): every push and every delivery touches only the home
+  /// node's NI and cores, so per-home order — all that matters — is the
+  /// one-tile order. Histogram adds are exactly commutative and are folded
+  /// in collect().
   struct SimTile {
-    std::vector<PendingL2> l2_route;  ///< L2 pushes from the route phase (ejected requests)
-    std::vector<PendingL2> l2_core;   ///< L2 pushes from the core phase (local-slice hits)
-    LatencyHistograms lat_all;        ///< histogram adds are exactly commutative
+    std::vector<std::vector<PendingL2>> l2_wheel;
+    LatencyHistograms lat_all;
     std::array<LatencyHistograms, kNumIntensityClasses> lat_class;
   };
-  bool sharded_ NOCSIM_SHARED_READONLY = false;
-  std::optional<ShardPlan> plan_ NOCSIM_SHARED_READONLY;
-  /// Per-tile word masks over the CORE bitmap (core_work_). The plan's own
-  /// masks cover routers; with concentration > 1 the core id space is conc_
-  /// times larger, so the sharded core phase walks these instead. Built once
-  /// at construction (tile of core c = plan tile of router c / conc_).
-  std::vector<std::vector<std::uint64_t>> core_masks_ NOCSIM_SHARED_READONLY;
-  std::vector<std::size_t> core_word_lo_ NOCSIM_SHARED_READONLY;
-  std::vector<std::size_t> core_word_hi_ NOCSIM_SHARED_READONLY;
-  std::unique_ptr<ShardTeam> team_ NOCSIM_SHARED_READONLY;
   std::vector<SimTile> tiles_ NOCSIM_TILE_LOCAL;
-  std::vector<std::size_t> l2_cursor_ NOCSIM_SHARED_READONLY;  ///< fold_l2 merge scratch
 
   std::vector<NodeTelemetry> telemetry_ NOCSIM_SHARED_READONLY;
   std::vector<double> staged_rates_ NOCSIM_SHARED_READONLY;
@@ -272,7 +262,7 @@ class Simulator {
   // simulated state.
   PhaseProfiler* prof_ NOCSIM_SHARED_READONLY = nullptr;
   struct ProfPhases {
-    int begin = 0, deliver = 0, inject = 0, route = 0, exchange = 0, core = 0, epilogue = 0;
+    int begin = 0, inject = 0, route = 0, exchange = 0, core = 0, epilogue = 0;
   };
   ProfPhases phase_ NOCSIM_SHARED_READONLY;
   EventLog* events_ NOCSIM_SHARED_READONLY = nullptr;
@@ -284,9 +274,6 @@ class Simulator {
   std::vector<std::uint8_t> wd_blocked_over_ NOCSIM_SHARED_READONLY;
   Cycle wd_max_age_ NOCSIM_SHARED_READONLY = 0;
 
-
-  LatencyHistograms lat_all_ NOCSIM_SHARED_READONLY;
-  std::array<LatencyHistograms, kNumIntensityClasses> lat_class_ NOCSIM_SHARED_READONLY;
   std::vector<int> node_class_ NOCSIM_SHARED_READONLY;
 };
 

@@ -50,11 +50,10 @@ SimConfig hotspot_config(WorkloadSpec& wl) {
   return c;
 }
 
-std::string run_events_csv(int shards, ShardDims dims) {
+std::string run_events_csv(int shards) {
   WorkloadSpec wl;
   SimConfig c = hotspot_config(wl);
   c.shards = shards;
-  c.shard_dims = dims;
   Simulator sim(c, wl);
   EventLog log;
   sim.attach_events(&log);
@@ -92,15 +91,12 @@ TEST(EventLog, HotspotRunEmitsProvenanceEvents) {
 }
 
 TEST(EventLog, CsvIsByteIdenticalAcrossShardCounts) {
-  const std::string serial = run_events_csv(1, ShardDims{});
+  const std::string serial = run_events_csv(1);
   ASSERT_NE(serial.find("throttle_on"), std::string::npos)
       << "scenario produced no throttle decisions; the identity check would be vacuous";
-  for (const int shards : {2, 4}) {
-    EXPECT_EQ(run_events_csv(shards, ShardDims{}), serial)
-        << "event stream diverges at --shards " << shards;
+  for (const int shards : {2, 4, 7}) {
+    EXPECT_EQ(run_events_csv(shards), serial) << "event stream diverges at --shards " << shards;
   }
-  EXPECT_EQ(run_events_csv(1, ShardDims{2, 2}), serial)
-      << "event stream diverges at --shard-dims 2x2";
 }
 
 // Minimal CSV row splitter for the event stream (no quoting in this format).

@@ -182,6 +182,19 @@ TEST(Lint, ShardUnsafeWriteWithoutTheTableFallsBackToUnclassified) {
   EXPECT_NE(run.output.find("credits_"), std::string::npos) << run.output;
 }
 
+TEST(Lint, AtomicRmwOnSharedStateTriggers) {
+  // fetch_or/fetch_and are writes like any other: on a shared word, through
+  // std::atomic_ref or a std::atomic member, they are cross-tile writes.
+  const LintRun run = run_lint("trigger_atomic_rmw.cpp");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(count_rule(run.output, "shard-unsafe-write"), 2) << run.output;
+  EXPECT_NE(run.output.find("call to 'fetch_or' on 'shared_words_'"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("call to 'fetch_and' on 'pending_'"), std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("tile_words_"), std::string::npos) << run.output;
+}
+
 TEST(Lint, UnannotatedPhaseTriggers) {
   const LintRun run = run_lint("trigger_unannotated_phase.cpp");
   EXPECT_EQ(run.exit_code, 1) << run.output;

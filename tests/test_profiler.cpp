@@ -181,12 +181,9 @@ TEST(PhaseProfiler, SerialSimulatorRunFillsSerialPhases) {
     return static_cast<int>(std::find(names.begin(), names.end(), n) - names.begin());
   };
   const Cycle total = c.warmup_cycles + c.measure_cycles;
-  for (const char* name : {"begin", "inject", "route", "core", "epilogue"}) {
+  for (const char* name : {"begin", "inject", "route", "exchange", "core", "epilogue"}) {
     EXPECT_EQ(prof.stat(id_of(name), 0).count, total) << name;
   }
-  // Serial loop: the sharded-only phases never run.
-  EXPECT_EQ(prof.stat(id_of("deliver"), 0).count, 0u);
-  EXPECT_EQ(prof.stat(id_of("exchange"), 0).count, 0u);
   // tick() ran at epoch cadence plus the collect() flush.
   EXPECT_GE(prof.samples().size(), total / c.cc_params.epoch);
 }
@@ -210,11 +207,13 @@ TEST(PhaseProfiler, ShardedRunRecordsPerTileComputeAndBarrierWait) {
     return static_cast<int>(std::find(names.begin(), names.end(), n) - names.begin());
   };
   const Cycle total = c.warmup_cycles + c.measure_cycles;
-  for (const char* name : {"deliver", "route", "exchange", "core"}) {
+  for (const char* name : {"begin", "inject", "route", "exchange", "core"}) {
     EXPECT_EQ(prof.stat(id_of(name), 0).count, total) << name << " tile 0";
     EXPECT_EQ(prof.stat(id_of(name), 1).count, total) << name << " tile 1";
   }
-  EXPECT_EQ(prof.stat(id_of("inject"), 0).count, 0u);  // serial-only phase
+  // The serial epilogue is recorded once per cycle, on tile 0.
+  EXPECT_EQ(prof.stat(id_of("epilogue"), 0).count, total);
+  EXPECT_EQ(prof.stat(id_of("epilogue"), 1).count, 0u);
   // The ShardTeam probe attributed barrier spin somewhere: across 8'000
   // cycles x 4 barriers x 2 tiles, total wait cannot round to zero.
   std::uint64_t wait = 0;
@@ -222,6 +221,33 @@ TEST(PhaseProfiler, ShardedRunRecordsPerTileComputeAndBarrierWait) {
     for (int t = 0; t < prof.tiles(); ++t) wait += prof.stat(p, t).wait_ns;
   }
   EXPECT_GT(wait, 0u);
+}
+
+// perfbench/nocsim_perf.cpp looks these five phases up by name (std::find)
+// and reads tile 0; a renamed or dropped phase would index past the end.
+// Every tile count must register them and record into them.
+TEST(PhaseProfiler, PerfbenchPhasesRecordAtOneAndFourTiles) {
+  for (const int shards : {1, 4}) {
+    SimConfig c = profiled_config();
+    c.shards = shards;
+    WorkloadSpec wl;
+    {
+      Rng rng(17);
+      wl = make_category_workload("HM", 16, rng);
+    }
+    Simulator sim(c, wl);
+    PhaseProfiler prof;
+    sim.attach_profiler(&prof);
+    sim.run_cycles(500);
+    ASSERT_EQ(prof.tiles(), shards);
+    const auto& names = prof.phase_names();
+    for (const char* name : {"begin", "inject", "route", "core", "epilogue"}) {
+      const auto it = std::find(names.begin(), names.end(), name);
+      ASSERT_NE(it, names.end()) << name << " not registered at --shards " << shards;
+      EXPECT_GT(prof.stat(static_cast<int>(it - names.begin()), 0).count, 0u)
+          << name << " recorded nothing at --shards " << shards;
+    }
+  }
 }
 
 // Profiler + event tracks merge into one ChromeTracer JSON: flit lanes,

@@ -1,8 +1,8 @@
-// Intra-run sharding tests: the tiled cycle loop must be a faster
-// implementation of the *same function* as the serial loop. Every case
-// serializes the full SimResult (%.17g doubles, order-sensitive Welford
-// moments included) and requires byte-identity between --shards 1 and every
-// sharded tile count — not approximate equality, not same-to-6-digits.
+// Intra-run sharding tests: the cycle loop must compute the *same function*
+// at every tile count. Every case serializes the full SimResult (%.17g
+// doubles, order-sensitive Welford moments included) and requires
+// byte-identity between --shards 1 (one tile) and every other tile count —
+// not approximate equality, not same-to-6-digits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "noc/bless_fabric.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "noc/trace_sink.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topology/topology.hpp"
 
@@ -25,14 +26,10 @@ namespace {
 
 using testutil::serialize_result;
 
-// Shard counts exercised against the serial baseline. 7 is deliberately
-// coprime to every mesh height used here: tiles get unequal row counts and
-// boundary words are shared between tiles mid-word.
+// Shard counts exercised against the one-tile baseline. 7 is deliberately
+// coprime to every mesh height used here: tiles get unequal row counts, and
+// on the 8x8 mesh tiles of 64 nodes split across bitmap words mid-tile.
 const int kShardCounts[] = {2, 4, 7};
-
-// 2D tilings exercised the same way. 2x2 makes every tile a multi-span
-// rectangle; 2x1 splits along columns only, so every span is a half-row.
-const ShardDims kShardDims[] = {ShardDims{2, 2}, ShardDims{2, 1}};
 
 TEST(ShardPlan, RowStripsAreContiguousAndCoverEveryNode) {
   for (const auto& [w, h, s] : {std::tuple{8, 8, 4}, {4, 4, 7}, {32, 32, 7}, {5, 3, 2}}) {
@@ -45,15 +42,22 @@ TEST(ShardPlan, RowStripsAreContiguousAndCoverEveryNode) {
       ASSERT_EQ(r.lo, expect_lo) << "gap between tiles";
       ASSERT_LT(r.lo, r.hi) << "empty tile";
       ASSERT_EQ(r.lo % w, 0) << "tile does not start on a row boundary";
+      ASSERT_EQ(plan.tile_nodes(t), r.hi - r.lo);
       for (int n = r.lo; n < r.hi; ++n) {
         ASSERT_EQ(plan.tile_of(n), t);
         ASSERT_TRUE(plan.owns(t, n));
-        ASSERT_TRUE(plan.word_mask(t, static_cast<std::size_t>(n) / 64) &
-                    (1ULL << (static_cast<std::size_t>(n) % 64)));
+        ASSERT_EQ(plan.local_of(t, n), static_cast<std::uint32_t>(n - r.lo));
+      }
+      if (t > 0) {
+        ASSERT_FALSE(plan.owns(t, r.lo - 1));
+      }
+      if (r.hi < w * h) {
+        ASSERT_FALSE(plan.owns(t, r.hi));
       }
       expect_lo = r.hi;
     }
     ASSERT_EQ(expect_lo, w * h) << "tiles do not cover the mesh";
+    ASSERT_EQ(plan.nodes(), w * h);
   }
 }
 
@@ -64,45 +68,24 @@ TEST(ShardPlan, CapsTileCountAtRowCount) {
   EXPECT_EQ(ShardPlan(16, 1, 8).tiles(), 1);
 }
 
-TEST(ShardPlan, TwoDTilesPartitionTheMeshIntoRectangles) {
-  for (const auto& [w, h, cols, rows] :
-       {std::tuple{8, 8, 2, 2}, {4, 4, 2, 1}, {32, 32, 3, 2}, {5, 3, 2, 2}}) {
-    const ShardPlan plan(w, h, ShardDims{cols, rows});
-    ASSERT_EQ(plan.tiles(), std::min(cols, w) * std::min(rows, h));
-    // Every node owned exactly once; local indices dense and ascending.
-    std::vector<int> owner(static_cast<std::size_t>(w * h), -1);
-    for (int t = 0; t < plan.tiles(); ++t) {
-      std::uint32_t expect_local = 0;
-      int prev = -1;
-      for (const ShardPlan::TileRange& r : plan.spans(t)) {
-        ASSERT_LT(r.lo, r.hi) << "empty span";
-        ASSERT_GT(r.lo, prev) << "spans not ascending";
-        prev = r.hi - 1;
-        for (int n = r.lo; n < r.hi; ++n) {
-          ASSERT_EQ(owner[static_cast<std::size_t>(n)], -1) << "node " << n << " owned twice";
-          owner[static_cast<std::size_t>(n)] = t;
-          ASSERT_EQ(plan.tile_of(n), t);
-          ASSERT_TRUE(plan.owns(t, n));
-          ASSERT_EQ(plan.local_of(n), expect_local++);
-          ASSERT_TRUE(plan.word_mask(t, static_cast<std::size_t>(n) / 64) &
-                      (1ULL << (static_cast<std::size_t>(n) % 64)));
-        }
-      }
-      ASSERT_EQ(plan.tile_nodes(t), static_cast<int>(expect_local));
-      // Each tile is a rectangle: all spans equally wide, one per mesh row.
-      const int span_w = plan.spans(t).front().hi - plan.spans(t).front().lo;
-      for (const ShardPlan::TileRange& r : plan.spans(t)) {
-        ASSERT_EQ(r.hi - r.lo, span_w);
-        ASSERT_EQ(r.lo / w, (r.hi - 1) / w) << "span crosses a mesh row";
-      }
-    }
-    for (const int t : owner) ASSERT_NE(t, -1) << "tiles do not cover the mesh";
-  }
+TEST(ShardPlan, ScaledPlanGivesEachTileItsRoutersCores) {
+  // cmesh: core c sits behind router c / 4, so the core plan's tile t must
+  // hold exactly the cores of the router plan's tile t.
+  const ShardPlan routers(4, 4, 3);
+  const ShardPlan cores = routers.scaled(4);
+  ASSERT_EQ(cores.tiles(), routers.tiles());
+  ASSERT_EQ(cores.nodes(), 64);
+  for (int c = 0; c < 64; ++c) ASSERT_EQ(cores.tile_of(c), routers.tile_of(c / 4)) << c;
 }
 
-TEST(ShardPlan, TwoDDimsAreCappedAtTheMeshExtent) {
-  EXPECT_EQ(ShardPlan(4, 4, ShardDims{8, 8}).tiles(), 16);
-  EXPECT_EQ(ShardPlan(2, 3, ShardDims{4, 1}).tiles(), 2);
+TEST(TileBits, WordsAreTileOwnedAndIndexedByLocalId) {
+  const ShardPlan plan(4, 4, 4);  // four 4-node tiles: all in one word globally
+  TileBits bits(plan);
+  for (int t = 0; t < plan.tiles(); ++t) ASSERT_EQ(bits.words(t).size(), 1u);
+  bits.set(2, plan.local_of(2, 9));
+  EXPECT_TRUE(bits.test(2, 1));
+  EXPECT_EQ(bits.words(2)[0], 0b10u);
+  for (const int t : {0, 1, 3}) EXPECT_EQ(bits.words(t)[0], 0u) << "tile " << t;
 }
 
 // Scenario matrix. These deliberately mirror (and extend) the golden-diff
@@ -159,6 +142,17 @@ SimConfig scenario_config(const std::string& name, WorkloadSpec& wl) {
     c.seed = 8;
     Rng rng(29);
     wl = make_category_workload("HML", 64, rng);
+  } else if (name == "distributed_cc_8x8") {
+    // Distributed CC: every NI is visited every cycle, congested routers
+    // mark flits, and marked responses throttle their receivers.
+    c.width = 8;
+    c.height = 8;
+    c.cc = CcMode::Distributed;
+    c.dist_params.mark_threshold = 0.05;
+    c.dist_params.mark_update_period = 64;
+    c.seed = 11;
+    Rng rng(33);
+    wl = make_category_workload("H", 64, rng);
   } else if (name == "central_cc_8x8") {
     // 8 rows / 7 shards is the maximally uneven strip split; control
     // packets ride the network as real traffic.
@@ -190,14 +184,6 @@ TEST_P(ShardedByteIdentity, SerializedResultMatchesSerialForEveryShardCount) {
     const std::string got = serialize_result(run_workload(c, wl));
     ASSERT_EQ(got, golden) << name << " diverges from serial at --shards " << shards;
   }
-  for (const ShardDims dims : kShardDims) {
-    WorkloadSpec wl;
-    SimConfig c = scenario_config(name, wl);
-    c.shard_dims = dims;
-    const std::string got = serialize_result(run_workload(c, wl));
-    ASSERT_EQ(got, golden) << name << " diverges from serial at --shard-dims " << dims.cols
-                           << "x" << dims.rows;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, ShardedByteIdentity,
@@ -215,11 +201,10 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, ShardedByteIdentity,
 // live NI and fabric state, so any drift in *when* state changes shows up
 // here even if the end-of-run aggregates happen to agree.
 TEST(ShardedTimeseries, CsvIsByteIdenticalToSerial) {
-  const auto run_csv = [](int shards, ShardDims dims) {
+  const auto run_csv = [](int shards) {
     WorkloadSpec wl;
     SimConfig c = scenario_config("central_cc_8x8", wl);
     c.shards = shards;
-    c.shard_dims = dims;
     Simulator sim(c, wl);
     TelemetryHub hub;  // adopts the controller epoch as its cadence
     sim.attach_telemetry(&hub);
@@ -228,41 +213,100 @@ TEST(ShardedTimeseries, CsvIsByteIdenticalToSerial) {
     hub.write_csv(out);
     return out.str();
   };
-  const std::string serial = run_csv(1, ShardDims{});
+  const std::string serial = run_csv(1);
   ASSERT_NE(serial.find('\n'), std::string::npos);
   for (const int shards : kShardCounts) {
-    ASSERT_EQ(run_csv(shards, ShardDims{}), serial)
-        << "timeseries diverges at --shards " << shards;
-  }
-  for (const ShardDims dims : kShardDims) {
-    ASSERT_EQ(run_csv(1, dims), serial)
-        << "timeseries diverges at --shard-dims " << dims.cols << "x" << dims.rows;
+    ASSERT_EQ(run_csv(shards), serial) << "timeseries diverges at --shards " << shards;
   }
 }
 
-// Halo counters: serial runs never stage a cross-tile write, so both
-// counters are structurally zero; sharded runs of a loaded mesh must record
-// traffic; and on a wide mesh a 2x2 tiling crosses fewer links than four
-// row strips, so its halo write count must be strictly smaller.
-TEST(ShardHaloCounters, SerialIsZeroAndTwoDBeatsRowStrips) {
-  const auto halo_writes = [](int shards, ShardDims dims, std::uint64_t* bytes = nullptr) {
+// Halo counters: one tile never stages a cross-tile write, so both counters
+// are structurally zero; four tiles of a loaded mesh must record traffic.
+TEST(ShardHaloCounters, OneTileIsZeroAndFourTilesCrossLinks) {
+  const auto halo_writes = [](int shards, std::uint64_t* bytes) {
     WorkloadSpec wl;
     SimConfig c = scenario_config("central_cc_8x8", wl);
     c.shards = shards;
-    c.shard_dims = dims;
     const SimResult r = run_workload(c, wl);
-    if (bytes != nullptr) *bytes = r.fabric.halo_bytes;
+    *bytes = r.fabric.halo_bytes;
     return r.fabric.halo_writes;
   };
-  std::uint64_t serial_bytes = ~std::uint64_t{0};
-  EXPECT_EQ(halo_writes(1, ShardDims{}, &serial_bytes), 0u);
-  EXPECT_EQ(serial_bytes, 0u);
-  const std::uint64_t strips = halo_writes(4, ShardDims{});
-  const std::uint64_t grid = halo_writes(1, ShardDims{2, 2});
-  EXPECT_GT(strips, 0u);
-  EXPECT_GT(grid, 0u);
-  EXPECT_LT(grid, strips) << "2x2 tiling should cross fewer links than 4 row strips";
+  std::uint64_t bytes = ~std::uint64_t{0};
+  EXPECT_EQ(halo_writes(1, &bytes), 0u);
+  EXPECT_EQ(bytes, 0u);
+  EXPECT_GT(halo_writes(4, &bytes), 0u);
+  EXPECT_GT(bytes, 0u);
 }
+
+// Flit tracing under tiles: every tile buffers its events and the fabric
+// replays them in tile order, so the recorded stream — every event, every
+// flit field, in order — must match the one-tile stream on both routers.
+class StreamDigest final : public FlitEventSink {
+ public:
+  void on_inject(Cycle now, NodeId at, const Flit& f) override { add(0, now, at, at, f); }
+  void on_hop(Cycle now, NodeId from, NodeId to, const Flit& f) override {
+    add(1, now, from, to, f);
+  }
+  void on_deflect(Cycle now, NodeId at, const Flit& f) override { add(2, now, at, at, f); }
+  void on_eject(Cycle now, NodeId at, const Flit& f) override { add(3, now, at, at, f); }
+
+  std::uint64_t events[4] = {0, 0, 0, 0};
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+
+ private:
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  void add(int kind, Cycle now, NodeId at, NodeId to, const Flit& f) {
+    ++events[kind];
+    for (const std::uint64_t v :
+         {std::uint64_t(kind), std::uint64_t(now), std::uint64_t(at), std::uint64_t(to),
+          std::uint64_t(f.addr), std::uint64_t(f.src), std::uint64_t(f.dst),
+          std::uint64_t(f.origin), std::uint64_t(f.packet), std::uint64_t(f.enqueue_cycle),
+          std::uint64_t(f.inject_cycle), std::uint64_t(f.hops), std::uint64_t(f.deflections),
+          std::uint64_t(f.flit_idx), std::uint64_t(f.packet_len), std::uint64_t(f.kind),
+          std::uint64_t(f.vc_state), std::uint64_t(f.congested_bit)}) {
+      mix(v);
+    }
+  }
+};
+
+class ShardedFlitTrace : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ShardedFlitTrace, EventStreamMatchesOneTile) {
+  const auto run_traced = [](const std::string& scenario, int shards) {
+    WorkloadSpec wl;
+    SimConfig c = scenario_config(scenario, wl);
+    c.warmup_cycles = 500;
+    c.measure_cycles = 1'500;
+    c.shards = shards;
+    Simulator sim(c, wl);
+    StreamDigest digest;
+    sim.attach_tracer(&digest);
+    const std::string result = serialize_result(sim.run());
+    return std::tuple{digest.hash, digest.events[0], digest.events[1], digest.events[2],
+                      digest.events[3], result};
+  };
+  const std::string scenario = GetParam();
+  const auto one = run_traced(scenario, 1);
+  ASSERT_GT(std::get<1>(one), 0u) << "no injections traced";
+  ASSERT_GT(std::get<2>(one), 0u) << "no hops traced";
+  ASSERT_GT(std::get<4>(one), 0u) << "no ejections traced";
+  if (scenario == "bless_4x4_hm") {
+    ASSERT_GT(std::get<3>(one), 0u) << "no deflections traced";
+  }
+  for (const int shards : kShardCounts) {
+    ASSERT_EQ(run_traced(scenario, shards), one)
+        << scenario << " flit events diverge at --shards " << shards;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Routers, ShardedFlitTrace,
+                         ::testing::Values("bless_4x4_hm", "buffered_4x4_hm"),
+                         [](const auto& inf) { return std::string(inf.param); });
 
 // Two sharded runs of the same config must agree with each other — thread
 // scheduling must not leak into results even transiently.
@@ -276,23 +320,25 @@ TEST(ShardedDeterminism, RepeatedShardedRunsAreIdentical) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-// Distributed CC needs the per-cycle coordinator scan and stays serial:
-// asking for shards must be a silent no-op, not an error or a divergence.
-TEST(ShardedDeterminism, DistributedCcFallsBackToSerial) {
+// Distributed CC runs tiled like every other mode: each tile scans its own
+// NIs every cycle and counts its own marked packets. The scenario must
+// actually mark and throttle, or the identity below would be vacuous.
+TEST(ShardedDeterminism, DistributedCcMatchesOneTileAtEveryShardCount) {
   const auto run_dist = [](int shards) {
-    SimConfig c;
-    c.warmup_cycles = 1'000;
-    c.measure_cycles = 3'000;
-    c.cc_params.epoch = 500;
-    c.cc = CcMode::Distributed;
-    c.seed = 11;
-    c.shards = shards;
     WorkloadSpec wl;
-    Rng rng(33);
-    wl = make_category_workload("HM", 16, rng);
-    return serialize_result(run_workload(c, wl));
+    SimConfig c = scenario_config("distributed_cc_8x8", wl);
+    c.shards = shards;
+    return run_workload(c, wl);
   };
-  EXPECT_EQ(run_dist(4), run_dist(1));
+  const SimResult one = run_dist(1);
+  double throttled = 0.0;
+  for (const NodeResult& nr : one.nodes) throttled += nr.mean_throttle_rate;
+  ASSERT_GT(throttled, 0.0) << "no marked packet throttled any node";
+  const std::string golden = serialize_result(one);
+  for (const int shards : kShardCounts) {
+    EXPECT_EQ(serialize_result(run_dist(shards)), golden)
+        << "distributed CC diverges at --shards " << shards;
+  }
 }
 
 // --- runtime shadow checker (common/shard_check.hpp) -----------------------
@@ -307,7 +353,7 @@ void drive_corrupted_halo_apply() {
   const ShardPlan plan(4, 4, 2);  // tile 0: nodes 0-7, tile 1: nodes 8-15
   BlessFabric fabric(mesh, /*router_latency=*/1, /*link_latency=*/1);
   fabric.set_eject_sink([](NodeId, const Flit&) {});
-  fabric.set_shard_plan(&plan);
+  fabric.set_shard_plan(plan);
 
   // A flit at node 4 = (0,1) headed for node 12 = (0,3): its first hop
   // lands on node 8 = (0,2), which tile 1 owns, so routing tile 0 stages a

@@ -965,18 +965,28 @@ bool is_foreign_member_access(const std::string& code, std::size_t pos) {
 }
 
 // Mutating member functions: a call to one of these through an annotated
-// name is treated as a write. fetch_or/fetch_and are deliberately absent —
-// commutative atomic RMWs on shared bitmap words are the one sanctioned
-// cross-tile write mechanism (see DESIGN.md).
+// name is treated as a write. Atomic read-modify-writes count too: every
+// bitmap word belongs to one tile, so a shared word updated by several
+// tiles is cross-tile state like any other (see DESIGN.md).
 const std::set<std::string>& mutator_methods() {
   static const std::set<std::string> m = {
       "push_back", "emplace_back", "push_front", "emplace_front", "pop_back",
       "pop_front", "clear",        "erase",      "insert",        "emplace",
       "assign",    "resize",       "reserve",    "shrink_to_fit", "fill",
       "swap",      "store",        "exchange",   "reset",         "push",
-      "pop",
+      "pop",       "fetch_or",     "fetch_and",  "fetch_xor",     "fetch_add",
+      "fetch_sub",
   };
   return m;
+}
+
+// True when the '(' at `open` is the argument list of a std::atomic_ref<T>
+// construction: `std::atomic_ref<T>(x).fetch_or(...)` writes x.
+bool opens_atomic_ref(const std::string& code, std::size_t open) {
+  const std::size_t gt = prev_nonspace(code, open);
+  if (gt == std::string::npos || code[gt] != '>') return false;
+  const std::size_t lt = match_delim_backward(code, gt, '<', '>');
+  return lt != std::string::npos && ident_ending_before(code, lt) == "atomic_ref";
 }
 
 // Classify the expression starting at an identifier occurrence: walk the
@@ -991,9 +1001,17 @@ std::string classify_write(const std::string& code, std::size_t pos, const std::
     return "increment of '" + name + "'";
   }
   std::size_t p = pos + name.size();
+  // Inside std::atomic_ref<T>( ... ): the chain continues past the ')'.
+  bool in_atomic_ref = prev != std::string::npos && code[prev] == '(' &&
+                       opens_atomic_ref(code, prev);
   for (;;) {
     p = skip_ws(code, p);
     if (p >= code.size()) return "";
+    if (in_atomic_ref && code[p] == ')') {
+      in_atomic_ref = false;
+      ++p;
+      continue;
+    }
     if (code[p] == '[') {
       const std::size_t close = match_delim(code, p, '[', ']');
       if (close == std::string::npos) return "";
