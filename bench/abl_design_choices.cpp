@@ -16,8 +16,7 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const auto measure =
-      static_cast<Cycle>(flags.get_int("cycles", 100'000, "measured cycles per run"));
+  const auto measure = flags.get_cycles("cycles", 100'000, 1, "measured cycles per run");
   const int scaling_side =
       static_cast<int>(flags.get_int("torus-side", 16, "mesh/torus side for the topology ablation"));
   SweepContext sweep(flags);

@@ -51,8 +51,8 @@ class SweepContext {
         "path stem for per-run records (<stem>.runs.csv/.json; \"\" disables)");
     const bool timeseries = flags.get_bool(
         "timeseries", false, "write per-run telemetry to <stem>.run<i>.timeseries.csv");
-    options.telemetry_period = static_cast<Cycle>(flags.get_int(
-        "timeseries-period", 0, "telemetry sample period, cycles (0 = controller epoch)"));
+    options.telemetry_period = flags.get_cycles(
+        "timeseries-period", 0, 0, "telemetry sample period, cycles (0 = controller epoch)");
     options.trace_flits = parse_trace_every(flags.get_string(
         "trace-flits", "0",
         "trace 1-in-N packets to <stem>.run<i>.trace.json (bare flag: every packet)"));

@@ -203,12 +203,12 @@ void write_json(std::ostream& out, const std::vector<BenchResult>& results, int 
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const auto cycles8 = static_cast<Cycle>(
-      flags.get_int("cycles", 120'000, "measured cycles per rep, 8x8 config"));
-  const auto cycles32 = static_cast<Cycle>(
-      flags.get_int("cycles-32", 6'000, "measured cycles per rep, 32x32 configs"));
-  const auto cycles64 = static_cast<Cycle>(
-      flags.get_int("cycles-64", 1'500, "measured cycles per rep, 64x64 configs"));
+  const auto cycles8 =
+      flags.get_cycles("cycles", 120'000, 1, "measured cycles per rep, 8x8 config");
+  const auto cycles32 =
+      flags.get_cycles("cycles-32", 6'000, 1, "measured cycles per rep, 32x32 configs");
+  const auto cycles64 =
+      flags.get_cycles("cycles-64", 1'500, 1, "measured cycles per rep, 64x64 configs");
   const int reps =
       static_cast<int>(flags.get_int("reps", 3, "timed repetitions; best is reported"));
   const std::int64_t shards_flag =
@@ -237,14 +237,13 @@ int run(int argc, char** argv) {
       "topology-file", "", "smoke-mode graph file (topology = irregular)");
   const std::string router =
       flags.get_string("router", "bless", "smoke-mode router: bless | buffered");
-  const std::int64_t metrics_cycles =
-      flags.get_int("metrics-cycles", 5'000, "smoke-mode measured cycles (>= 1)");
+  const Cycle metrics_cycles =
+      flags.get_cycles("metrics-cycles", 5'000, 1, "smoke-mode measured cycles (>= 1)");
   if (flags.finish()) return 0;
   // Reject out-of-range values before any run: 0 shards would abort inside
-  // the simulator, and a 0-cycle window would write an all-zero metrics CSV.
+  // the simulator.
   if (shards_flag < 1 || shards_flag > std::numeric_limits<int>::max())
     flags.bad_value("shards", std::to_string(shards_flag));
-  if (metrics_cycles < 1) flags.bad_value("metrics-cycles", std::to_string(metrics_cycles));
   const int shards = static_cast<int>(shards_flag);
   if (router != "bless" && router != "buffered") {
     std::cerr << "cycle_loop: unknown --router '" << router << "' (want bless | buffered)\n";
@@ -252,7 +251,7 @@ int run(int argc, char** argv) {
   }
   if (!metrics.empty()) {
     return run_metrics(metrics, topology, side, depth, topo_file, router, shards,
-                       static_cast<Cycle>(metrics_cycles));
+                       metrics_cycles);
   }
 
   std::vector<BenchConfig> configs = {{"fig02_8x8", 8, 5'000, cycles8}};

@@ -20,8 +20,7 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const auto measure =
-      static_cast<Cycle>(flags.get_int("cycles", 100'000, "measured cycles per run"));
+  const auto measure = flags.get_cycles("cycles", 100'000, 1, "measured cycles per run");
   const int cluster =
       static_cast<int>(flags.get_int("cluster", 3, "side of the hot corner cluster"));
   SweepContext sweep(flags);

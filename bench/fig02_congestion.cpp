@@ -16,12 +16,11 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const auto measure = static_cast<Cycle>(
-      flags.get_int("cycles", 120'000, "measured cycles per workload"));
+  const auto measure = flags.get_cycles("cycles", 120'000, 1, "measured cycles per workload");
   const int seeds = static_cast<int>(
       flags.get_int("seeds", 4, "workloads per category for panels (a)/(b)"));
-  const auto sweep_measure = static_cast<Cycle>(
-      flags.get_int("sweep-cycles", 150'000, "measured cycles per throttle point (c)"));
+  const auto sweep_measure =
+      flags.get_cycles("sweep-cycles", 150'000, 1, "measured cycles per throttle point (c)");
   SweepContext sweep(flags);
   if (flags.finish()) return 0;
 

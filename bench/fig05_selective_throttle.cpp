@@ -18,8 +18,7 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const auto measure =
-      static_cast<Cycle>(flags.get_int("cycles", 200'000, "measured cycles per run"));
+  const auto measure = flags.get_cycles("cycles", 200'000, 1, "measured cycles per run");
   const double rate = flags.get_double("rate", 0.9, "static throttle rate (paper: 0.9)");
   const std::string app_a = flags.get_string("heavy", "mcf", "memory-intensive app");
   const std::string app_b = flags.get_string("light", "gromacs", "CPU-bound app");

@@ -19,10 +19,8 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const auto measure =
-      static_cast<Cycle>(flags.get_int("cycles", 400'000, "measured cycles"));
-  const auto bin =
-      static_cast<Cycle>(flags.get_int("bin", 10'000, "trace bin width, cycles"));
+  const auto measure = flags.get_cycles("cycles", 400'000, 1, "measured cycles");
+  const auto bin = flags.get_cycles("bin", 10'000, 1, "trace bin width, cycles");
   const std::string apps_flag = flags.get_string(
       "apps", "mcf,mcf2,sphinx3,matlab,bzip2", "comma-separated application list");
   SweepContext sweep(flags);

@@ -24,8 +24,7 @@ int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const int seeds = static_cast<int>(
       flags.get_int("seeds", 3, "workloads per category per mesh size"));
-  const auto measure = static_cast<Cycle>(
-      flags.get_int("cycles", 120'000, "measured cycles per run"));
+  const auto measure = flags.get_cycles("cycles", 120'000, 1, "measured cycles per run");
   const bool with_8x8 = flags.get_bool("with-8x8", true, "include the 8x8 mesh");
   const bool with_ws = flags.get_bool("weighted-speedup", true,
                                       "compute Fig. 10 (needs alone-runs; slower)");

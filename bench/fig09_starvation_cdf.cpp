@@ -14,8 +14,7 @@ int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const int seeds = static_cast<int>(
       flags.get_int("seeds", 5, "workloads per heavy category"));
-  const auto measure =
-      static_cast<Cycle>(flags.get_int("cycles", 120'000, "measured cycles per run"));
+  const auto measure = flags.get_cycles("cycles", 120'000, 1, "measured cycles per run");
   const double util_floor =
       flags.get_double("util-floor", 0.60, "congestion filter on baseline utilization");
   SweepContext sweep(flags);

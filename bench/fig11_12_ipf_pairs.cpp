@@ -16,8 +16,7 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const auto measure = static_cast<Cycle>(
-      flags.get_int("cycles", 120'000, "measured cycles per pair"));
+  const auto measure = flags.get_cycles("cycles", 120'000, 1, "measured cycles per pair");
   SweepContext sweep(flags);
   if (flags.finish()) return 0;
 

@@ -63,8 +63,7 @@ OpenLoopResult run_open_loop(Fabric& fabric, const TrafficPattern& pattern, doub
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const int side = static_cast<int>(flags.get_int("side", 8, "mesh side"));
-  const auto cycles =
-      static_cast<Cycle>(flags.get_int("cycles", 20'000, "cycles per load point"));
+  const auto cycles = flags.get_cycles("cycles", 20'000, 1, "cycles per load point");
   const std::string pattern_name =
       flags.get_string("pattern", "uniform", "uniform | transpose | hotspot | exponential");
   SweepContext sweep(flags);

@@ -19,8 +19,7 @@ int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const int seeds =
       static_cast<int>(flags.get_int("seeds", 3, "congested workloads per point"));
-  const auto measure =
-      static_cast<Cycle>(flags.get_int("cycles", 120'000, "measured cycles per run"));
+  const auto measure = flags.get_cycles("cycles", 120'000, 1, "measured cycles per run");
   SweepContext sweep(flags);
   if (flags.finish()) return 0;
 

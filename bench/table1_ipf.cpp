@@ -15,8 +15,8 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const auto measure = static_cast<Cycle>(
-      flags.get_int("cycles", 200'000, "measured cycles per application"));
+  const auto measure =
+      flags.get_cycles("cycles", 200'000, 1, "measured cycles per application");
   SweepContext sweep(flags);
   if (flags.finish()) return 0;
 

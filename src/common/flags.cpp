@@ -74,6 +74,13 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t def, const std
   return *parsed;
 }
 
+Cycle Flags::get_cycles(const std::string& name, Cycle def, Cycle min,
+                        const std::string& desc) {
+  const std::int64_t v = get_int(name, static_cast<std::int64_t>(def), desc);
+  if (v < static_cast<std::int64_t>(min)) bad_value(name, std::to_string(v));
+  return static_cast<Cycle>(v);
+}
+
 double Flags::get_double(const std::string& name, double def, const std::string& desc) {
   note(name, std::to_string(def), desc);
   const auto v = raw(name);

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
+
 namespace nocsim {
 
 class Flags {
@@ -20,6 +22,9 @@ class Flags {
 
   /// Register + read a flag; `desc` appears in --help output.
   std::int64_t get_int(const std::string& name, std::int64_t def, const std::string& desc);
+  /// A cycle count: an integer of at least `min`, else a bad value (exit 2),
+  /// so a negative count never wraps to ~2^64 cycles.
+  Cycle get_cycles(const std::string& name, Cycle def, Cycle min, const std::string& desc);
   double get_double(const std::string& name, double def, const std::string& desc);
   bool get_bool(const std::string& name, bool def, const std::string& desc);
   std::string get_string(const std::string& name, const std::string& def,

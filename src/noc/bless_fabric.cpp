@@ -6,8 +6,8 @@
 namespace nocsim {
 
 BlessFabric::BlessFabric(const Topology& topo, int router_latency, int link_latency,
-                         BlessRouting routing, NodeId table_cap)
-    : Fabric(topo, router_latency, link_latency, table_cap),
+                         BlessRouting routing)
+    : Fabric(topo, router_latency, link_latency),
       routing_(routing),
       slot_bound_(topo.in_slot_bound()),
       lanes_shift_(slot_bound_ <= 4 ? 2 : 3),
@@ -37,16 +37,8 @@ void BlessFabric::retile() {
 
   // Halo capacity per (src, dst) tile pair: the directed cross-link count,
   // the hard bound on latch writes staged between those tiles in one cycle.
-  std::vector<std::size_t> cross(tiles * tiles, 0);
-  for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
-    const auto src = static_cast<std::size_t>(plan_.tile_of(n));
-    for (int d = 0; d < kNumDirs; ++d) {
-      const NodeId nb = nodes_[static_cast<std::size_t>(n)].nbr[d];
-      if (nb == kInvalidNode) continue;
-      const auto dst = static_cast<std::size_t>(plan_.tile_of(nb));
-      if (dst != src) ++cross[src * tiles + dst];
-    }
-  }
+  std::vector<std::uint32_t> cross = link_counts();
+  for (std::size_t t = 0; t < tiles; ++t) cross[t * tiles + t] = 0;
 
   // Size each tile's arena up front (bump arenas do not grow).
   const auto lane_len = [this](std::size_t m) { return m << lanes_shift_; };
@@ -72,12 +64,11 @@ void BlessFabric::retile() {
     }
   }
 
-  halo_.assign(tiles * tiles, HaloBox{});
+  halo_.assign(tiles * tiles, Outbox<HaloWrite>{});
   for (std::size_t src = 0; src < tiles; ++src) {
     for (std::size_t dst = 0; dst < tiles; ++dst) {
       const std::size_t i = src * tiles + dst;
-      halo_[i].cap = static_cast<std::uint32_t>(cross[i]);
-      halo_[i].slots = arenas_[src].alloc_array<HaloWrite>(cross[i]);
+      halo_[i] = {arenas_[src].alloc_array<HaloWrite>(cross[i]), 0, cross[i]};
     }
   }
 
@@ -175,8 +166,8 @@ void BlessFabric::shard_exchange(Cycle now, int tile) {
       lanes_of(banks_[(now + static_cast<Cycle>(hop_latency_)) % banks_.size()], tile);
   const int tiles = plan_.tiles();
   for (int src = 0; src < tiles; ++src) {
-    HaloBox& box = halo_[static_cast<std::size_t>(src) * static_cast<std::size_t>(tiles) +
-                         static_cast<std::size_t>(tile)];
+    auto& box = halo_[static_cast<std::size_t>(src) * static_cast<std::size_t>(tiles) +
+                      static_cast<std::size_t>(tile)];
     for (std::uint32_t i = 0; i < box.count; ++i) {
       const HaloWrite& hw = box.slots[i];
       NOCSIM_SHARD_CHECK_WRITE(hw.node, "halo latch apply (shard_exchange)");
@@ -272,7 +263,7 @@ void BlessFabric::route_node(Cycle now, NodeId n, std::uint32_t local, int tile,
   for (int k = 0; k < count; ++k) {
     FlitHeader& h = hs[order[k]];
     const FlitPayload* const p = ps[order[k]];
-    const RoutePreference pref = route_pref(n, h.dst);
+    const RoutePreference pref = topo_.route_preference(n, h.dst);
     const int desired =
         (routing_ == BlessRouting::StrictXY) ? std::min(pref.count, 1) : pref.count;
     int assigned = -1;
@@ -329,9 +320,8 @@ void BlessFabric::route_node(Cycle now, NodeId n, std::uint32_t local, int tile,
       const int dt = plan_.tile_of(next);
       NOCSIM_SHARD_CHECK_HALO(tile, dt);
       const auto tiles = static_cast<std::size_t>(plan_.tiles());
-      HaloBox& box = halo_[static_cast<std::size_t>(tile) * tiles + static_cast<std::size_t>(dt)];
-      NOCSIM_DCHECK(box.count < box.cap);
-      HaloWrite& hw = box.slots[box.count++];
+      HaloWrite& hw =
+          halo_[static_cast<std::size_t>(tile) * tiles + static_cast<std::size_t>(dt)].next();
       hw.h = h;
       hw.node = next;
       hw.port = in_port;

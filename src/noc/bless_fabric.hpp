@@ -59,8 +59,7 @@ enum class BlessRouting : std::uint8_t {
 class BlessFabric final : public Fabric {
  public:
   BlessFabric(const Topology& topo, int router_latency = 2, int link_latency = 1,
-              BlessRouting routing = BlessRouting::StrictXY,
-              NodeId table_cap = kRouteTableMaxNodes);
+              BlessRouting routing = BlessRouting::StrictXY);
 
   [[nodiscard]] bool can_accept(NodeId n) const override;
   [[nodiscard]] std::uint32_t oldest_inflight_inject_cycle() const override;
@@ -127,15 +126,6 @@ class BlessFabric final : public Fabric {
     std::uint8_t port;
   };
 
-  /// Fixed-capacity outbox for one (src tile, dst tile) pair, backed by the
-  /// src tile's arena. Capacity is the number of directed links crossing
-  /// from src to dst — the hard bound on staged writes per cycle.
-  struct HaloBox {
-    HaloWrite* slots = nullptr;
-    std::uint32_t count = 0;
-    std::uint32_t cap = 0;
-  };
-
   /// Carve every latch lane, bitmap word and halo outbox from per-tile
   /// arenas.
   void retile() override;
@@ -153,7 +143,7 @@ class BlessFabric final : public Fabric {
   /// writes detour through halo_ (runtime-checked).
   std::vector<LatchBank> banks_ NOCSIM_TILE_LOCAL;
   LatchBank* cur_ NOCSIM_SHARED_READONLY = nullptr;  ///< bank for the cycle begun last
-  std::vector<HaloBox> halo_ NOCSIM_HALO_ONLY;  ///< [src * tiles + dst]
+  std::vector<Outbox<HaloWrite>> halo_ NOCSIM_HALO_ONLY;  ///< [src * tiles + dst]
 };
 
 }  // namespace nocsim

@@ -2,11 +2,12 @@
 
 #include <bit>
 
+#include "topology/route_tables.hpp"
+
 namespace nocsim {
 
-BufferedFabric::BufferedFabric(const Topology& topo, int router_latency, int link_latency,
-                               NodeId table_cap)
-    : Fabric(topo, router_latency, link_latency, table_cap),
+BufferedFabric::BufferedFabric(const Topology& topo, int router_latency, int link_latency)
+    : Fabric(topo, router_latency, link_latency),
       nodes_(topo.num_nodes()) {
   vc_classes_ = topo.has_wrap();
   for (NodeId n = 0; n < topo.num_nodes(); ++n) {
@@ -31,8 +32,7 @@ BufferedFabric::BufferedFabric(const Topology& topo, int router_latency, int lin
   // the channel-dependency graph of the tables is acyclic before routing
   // a single flit over them.
   if (topo.kind() == Topology::Kind::Irregular) {
-    const RouteTables tables = build_route_tables(topo);
-    NOCSIM_CHECK_MSG(check_cdg_acyclic(topo, tables),
+    NOCSIM_CHECK_MSG(check_cdg_acyclic(topo, *topo.route_tables()),
                      "irregular topology: routing tables form a cyclic channel "
                      "dependency graph (wormhole deadlock possible)");
   }
@@ -41,7 +41,7 @@ BufferedFabric::BufferedFabric(const Topology& topo, int router_latency, int lin
 
 int BufferedFabric::route_port(NodeId n, NodeId dst) const {
   if (n == dst) return static_cast<int>(Dir::Local);
-  const RoutePreference pref = route_pref(n, dst);
+  const RoutePreference pref = topo_.route_preference(n, dst);
   NOCSIM_DCHECK(pref.count > 0);
   return static_cast<int>(pref.dirs[0]);  // deterministic: first preferred port
 }
@@ -62,21 +62,17 @@ std::uint8_t BufferedFabric::next_vc_state(NodeId n, int op, std::uint8_t vc_sta
 
 void BufferedFabric::retile() {
   const auto t = static_cast<std::size_t>(plan_.tiles());
-  const auto tile_of = [this](NodeId n) { return static_cast<std::size_t>(plan_.tile_of(n)); };
   // Ring bounds per tile: directed links landing in it (arrivals) and
   // leaving it (credits travel back to the link's source). Outbox bounds
   // per (src, dst) pair: the directed links crossing between them.
-  std::vector<std::uint32_t> in_links(t, 0), out_links(t, 0), cross(t * t, 0);
-  for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
-    const std::size_t src = tile_of(n);
-    for (int d = 0; d < kNumDirs; ++d) {
-      const NodeId nb = nodes_[static_cast<std::size_t>(n)].nbr[d];
-      if (nb == kInvalidNode) continue;
-      const std::size_t dst = tile_of(nb);
-      ++out_links[src];
-      ++in_links[dst];
-      if (dst != src) ++cross[src * t + dst];
+  std::vector<std::uint32_t> cross = link_counts();
+  std::vector<std::uint32_t> in_links(t, 0), out_links(t, 0);
+  for (std::size_t src = 0; src < t; ++src) {
+    for (std::size_t dst = 0; dst < t; ++dst) {
+      out_links[src] += cross[src * t + dst];
+      in_links[dst] += cross[src * t + dst];
     }
+    cross[src * t + src] = 0;
   }
   std::size_t on_links = 0;
   for (const TileLinks& tl : tile_links_) {

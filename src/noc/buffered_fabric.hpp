@@ -44,8 +44,7 @@ class BufferedFabric final : public Fabric {
   static constexpr int kVcDepth = 4;
   static constexpr int kInPorts = kNumPorts;  // up to 6 input slots + Local
 
-  BufferedFabric(const Topology& topo, int router_latency = 2, int link_latency = 1,
-                 NodeId table_cap = kRouteTableMaxNodes);
+  BufferedFabric(const Topology& topo, int router_latency = 2, int link_latency = 1);
 
   [[nodiscard]] bool can_accept(NodeId n) const override;
   [[nodiscard]] std::uint32_t oldest_inflight_inject_cycle() const override;
@@ -210,20 +209,6 @@ class BufferedFabric final : public Fabric {
     Slot* slots_ = nullptr;
     std::size_t mask_ = 0;
     std::uint32_t cap_ = 0;
-  };
-
-  /// Fixed-capacity outbox for one (src tile, dst tile) pair, backed by the
-  /// src tile's arena. At most one flit and one credit cross a directed
-  /// link per cycle, so the pair's cross-link count caps both.
-  template <typename T>
-  struct Outbox {
-    T* slots = nullptr;
-    std::uint32_t count = 0;
-    std::uint32_t cap = 0;
-    void push(const T& item) {
-      NOCSIM_DCHECK(count < cap);
-      slots[count++] = item;
-    }
   };
 
   /// One tile's link state: the rings feeding the routers it owns, plus

@@ -6,12 +6,17 @@
 // (the gate's counter only advances on cycles where "an output link is
 // free").
 //
+// Routing belongs to the topology: a router asks
+// topo_.route_preference(n, dst) for its productive ports, and eject
+// accounting asks topo_.distance(src, dst) for the routing path's hop
+// count. The fabric keeps no routing tables or coordinates of its own.
+//
 // The routers are split into the tiles of a ShardPlan (one tile spanning
 // every node unless set_shard_plan says otherwise), and every cycle runs
 // the tile protocol documented below.
 #pragma once
 
-#include <cstdlib>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -22,7 +27,6 @@
 #include "common/types.hpp"
 #include "noc/flit.hpp"
 #include "noc/trace_sink.hpp"
-#include "topology/route_tables.hpp"
 #include "topology/topology.hpp"
 
 namespace nocsim {
@@ -75,12 +79,7 @@ class Fabric {
   /// Called once per ejected flit, during step().
   using EjectSink = std::function<void(NodeId at, const Flit&)>;
 
-  /// Default node-count cap for precomputed route/distance tables (16x16,
-  /// 192 KiB); SimConfig::route_table_max_nodes raises it per run.
-  static constexpr NodeId kRouteTableMaxNodes = 256;
-
-  Fabric(const Topology& topo, int router_latency, int link_latency,
-         NodeId table_cap = kRouteTableMaxNodes)
+  Fabric(const Topology& topo, int router_latency, int link_latency)
       : topo_(topo),
         hop_latency_(router_latency + link_latency),
         plan_(1, topo.num_nodes(), 1),
@@ -89,50 +88,6 @@ class Fabric {
         shard_tiles_(1),
         node_deflections_(static_cast<std::size_t>(topo.num_nodes()), 0) {
     NOCSIM_CHECK(router_latency >= 1 && link_latency >= 1);
-    // Flatten routing into per-(src, dst) tables when they fit: one packed
-    // byte (count + two ports) and one uint16 distance per pair, N^2 entries,
-    // Dijkstra-built once here — never in the cycle loop. Above the cap,
-    // grid families fall back to the analytic coordinate path; irregular
-    // graphs have no analytic form and must fit the (config-raisable) cap.
-    if (topo.num_nodes() <= table_cap) {
-      RouteTables t = build_route_tables(topo);
-      route_tab_ = std::move(t.packed);
-      dist_tab_ = std::move(t.hops);
-    } else {
-      // Above the table cap, avoid the virtual route_preference/distance
-      // calls (once per flit per hop / per delivered flit) by recognizing
-      // the concrete grid families and computing dimension-order
-      // preferences inline. Cached coordinate lanes replace the per-call
-      // division by width.
-      switch (topo.kind()) {
-        case Topology::Kind::Mesh:
-        case Topology::Kind::CMesh:  // router graph is a plain mesh
-          analytic_ = TopoKind::Mesh;
-          break;
-        case Topology::Kind::Torus:
-          analytic_ = TopoKind::Torus;
-          break;
-        case Topology::Kind::Mesh3D:
-          analytic_ = TopoKind::Mesh3D;
-          break;
-        case Topology::Kind::Torus3D:
-          analytic_ = TopoKind::Torus3D;
-          break;
-        case Topology::Kind::Irregular:
-          NOCSIM_CHECK_MSG(false,
-                           "irregular topology exceeds route_table_max_nodes "
-                           "(raise the cap; irregular graphs have no analytic route)");
-      }
-      coord_x_.resize(static_cast<std::size_t>(topo.num_nodes()));
-      coord_y_.resize(static_cast<std::size_t>(topo.num_nodes()));
-      coord_z_.resize(static_cast<std::size_t>(topo.num_nodes()));
-      for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-        const Coord c = topo.coord_of(n);
-        coord_x_[static_cast<std::size_t>(n)] = static_cast<std::int16_t>(c.x);
-        coord_y_[static_cast<std::size_t>(n)] = static_cast<std::int16_t>(c.y);
-        coord_z_[static_cast<std::size_t>(n)] = static_cast<std::int16_t>(c.z);
-      }
-    }
   }
   virtual ~Fabric() = default;
 
@@ -312,95 +267,43 @@ class Fabric {
   void set_marks_flits(NodeId n, bool marking) { marking_.at(n) = marking; }
 
  protected:
-  /// Concrete grid family recognized for the analytic routing fast path
-  /// (used only above the route-table cap; Generic never occurs there —
-  /// the ctor CHECKs that irregular graphs fit the tables).
-  enum class TopoKind : std::uint8_t { Generic, Mesh, Torus, Mesh3D, Torus3D };
-
-  /// Signed shortest offset from `a` to `b` on a ring of size `n`, in
-  /// (-n/2, n/2]; must mirror the helper in topology.cpp exactly.
-  [[nodiscard]] static constexpr int ring_offset(int a, int b, int n) {
-    int fwd = (b - a + n) % n;
-    if (fwd * 2 > n) fwd -= n;
-    return fwd;
-  }
-
   struct InjectSlot {
     Flit flit;
     bool requested = false;
   };
 
-  /// Table-accelerated Topology::route_preference, with an analytic inline
-  /// path for grid families above the route-table cap (virtual fallback
-  /// only for unrecognized topologies). Hot: once per flit per hop. The
-  /// analytic forms reproduce the Dijkstra tables' pinned tie-breaks
-  /// exactly: dimension order x, y, z, with two preferred dirs at most;
-  /// torus ring ties go to the positive direction.
-  [[nodiscard]] RoutePreference route_pref(NodeId from, NodeId to) const {
-    if (!route_tab_.empty()) {
-      const std::uint8_t p =
-          route_tab_[static_cast<std::size_t>(from) * static_cast<std::size_t>(topo_.num_nodes()) +
-                     static_cast<std::size_t>(to)];
-      RoutePreference r;
-      r.count = p & 3;
-      r.dirs[0] = static_cast<Dir>((p >> 2) & 7);
-      r.dirs[1] = static_cast<Dir>((p >> 5) & 7);
-      return r;
+  /// Fixed-capacity outbox for one (src tile, dst tile) pair, backed by the
+  /// src tile's arena. Its capacity is the pair's directed cross-link count
+  /// (link_counts): at most one flit, and one credit, crosses a link per
+  /// cycle.
+  template <typename T>
+  struct Outbox {
+    T* slots = nullptr;
+    std::uint32_t count = 0;
+    std::uint32_t cap = 0;
+    /// Claim the next slot; the caller fills it.
+    T& next() {
+      NOCSIM_DCHECK(count < cap);
+      return slots[count++];
     }
-    if (analytic_ != TopoKind::Generic) {
-      const bool wrap = analytic_ == TopoKind::Torus || analytic_ == TopoKind::Torus3D;
-      const bool three_d = analytic_ == TopoKind::Mesh3D || analytic_ == TopoKind::Torus3D;
-      RoutePreference pref;
-      const auto add = [&pref](int off, Dir pos, Dir neg) {
-        if (off != 0 && pref.count < 2) pref.dirs[pref.count++] = (off > 0) ? pos : neg;
-      };
-      const int fx = coord_x_[static_cast<std::size_t>(from)];
-      const int fy = coord_y_[static_cast<std::size_t>(from)];
-      const int tx = coord_x_[static_cast<std::size_t>(to)];
-      const int ty = coord_y_[static_cast<std::size_t>(to)];
-      if (wrap) {
-        // Shorter way around each ring, ties toward the positive direction.
-        add(ring_offset(fx, tx, topo_.width()), Dir::East, Dir::West);
-        add(ring_offset(fy, ty, topo_.height()), Dir::South, Dir::North);
-      } else {
-        add(tx - fx, Dir::East, Dir::West);
-        add(ty - fy, Dir::South, Dir::North);
-      }
-      if (three_d) {
-        const int fz = coord_z_[static_cast<std::size_t>(from)];
-        const int tz = coord_z_[static_cast<std::size_t>(to)];
-        add(wrap ? ring_offset(fz, tz, topo_.depth()) : tz - fz, Dir::Down, Dir::Up);
-      }
-      return pref;
-    }
-    return topo_.route_preference(from, to);
-  }
+    void push(const T& item) { next() = item; }
+  };
 
-  /// Table-accelerated Topology::distance, analytic for grid families above
-  /// the table cap; hot: once per delivered flit.
-  [[nodiscard]] int hop_distance(NodeId a, NodeId b) const {
-    if (!dist_tab_.empty()) {
-      return dist_tab_[static_cast<std::size_t>(a) * static_cast<std::size_t>(topo_.num_nodes()) +
-                       static_cast<std::size_t>(b)];
-    }
-    if (analytic_ != TopoKind::Generic) {
-      const bool wrap = analytic_ == TopoKind::Torus || analytic_ == TopoKind::Torus3D;
-      const bool three_d = analytic_ == TopoKind::Mesh3D || analytic_ == TopoKind::Torus3D;
-      const int ax = coord_x_[static_cast<std::size_t>(a)];
-      const int ay = coord_y_[static_cast<std::size_t>(a)];
-      const int bx = coord_x_[static_cast<std::size_t>(b)];
-      const int by = coord_y_[static_cast<std::size_t>(b)];
-      int d = wrap ? std::abs(ring_offset(ax, bx, topo_.width())) +
-                         std::abs(ring_offset(ay, by, topo_.height()))
-                   : std::abs(ax - bx) + std::abs(ay - by);
-      if (three_d) {
-        const int az = coord_z_[static_cast<std::size_t>(a)];
-        const int bz = coord_z_[static_cast<std::size_t>(b)];
-        d += wrap ? std::abs(ring_offset(az, bz, topo_.depth())) : std::abs(az - bz);
+  /// [src tile * tiles + dst tile]: directed links from src's routers to
+  /// dst's routers under plan_ (the diagonal counts a tile's internal
+  /// links).
+  [[nodiscard]] std::vector<std::uint32_t> link_counts() const {
+    const auto tiles = static_cast<std::size_t>(plan_.tiles());
+    std::vector<std::uint32_t> counts(tiles * tiles, 0);
+    for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
+      const auto src = static_cast<std::size_t>(plan_.tile_of(n));
+      for (int d = 0; d < kNumDirs; ++d) {
+        const NodeId nb = topo_.link(n, d).to;
+        if (nb == kInvalidNode) continue;
+        ++counts[src * tiles + static_cast<std::size_t>(plan_.tile_of(nb))];
       }
-      return d;
     }
-    return topo_.distance(a, b);
+    return counts;
   }
 
   /// (Re)carve the fabric's own tile storage for plan_. Only legal on an
@@ -462,7 +365,7 @@ class Fabric {
     NOCSIM_SHARD_CHECK_WRITE(at, "ejection (eject)");
     --ts.net_delta;
     ts.flit_hops_delivered += f.hops;
-    ts.min_hops_total += static_cast<std::uint64_t>(hop_distance(f.src, f.dst));
+    ts.min_hops_total += static_cast<std::uint64_t>(topo_.distance(f.src, f.dst));
     ts.ejects.push_back(EjectRecord{f.inject_cycle, f.enqueue_cycle, f.hops, f.deflections});
     if (trace_ != nullptr) ts.trace.push_back(TraceRecord{TraceKind::Eject, at, kInvalidNode, f});
     if (sink_) sink_(at, f);
@@ -485,12 +388,6 @@ class Fabric {
   /// still visited without scanning every node.
   TileBits inject_bits_ NOCSIM_TILE_LOCAL;
   std::vector<ShardTile> shard_tiles_ NOCSIM_TILE_LOCAL;  ///< one per tile
-  std::vector<std::uint8_t> route_tab_ NOCSIM_SHARED_READONLY;   ///< packed RoutePreference
-  std::vector<std::uint16_t> dist_tab_ NOCSIM_SHARED_READONLY;   ///< hop distances, or empty
-  TopoKind analytic_ NOCSIM_SHARED_READONLY = TopoKind::Generic;
-  std::vector<std::int16_t> coord_x_ NOCSIM_SHARED_READONLY;  ///< analytic coord lanes
-  std::vector<std::int16_t> coord_y_ NOCSIM_SHARED_READONLY;
-  std::vector<std::int16_t> coord_z_ NOCSIM_SHARED_READONLY;
   FabricStats stats_ NOCSIM_SHARED_READONLY;
   EjectSink sink_ NOCSIM_SHARED_READONLY;
   FlitEventSink* trace_ NOCSIM_SHARED_READONLY = nullptr;  ///< null = tracing off

@@ -40,10 +40,6 @@ struct SimConfig {
   bool adaptive_routing = false;
   int router_latency = 2;
   int link_latency = 1;
-  /// Largest node count whose flat route/distance tables are precomputed;
-  /// grids above it use the analytic coordinate path, irregular graphs must
-  /// fit (the fabric CHECKs). 256 = 16x16, 192 KiB of tables.
-  NodeId route_table_max_nodes = 256;
 
   // Cores (Table 2).
   CoreParams core;
@@ -85,10 +81,6 @@ struct SimConfig {
   /// are byte-identical to shards = 1 for every value (order-sensitive
   /// reductions are buffered per tile and replayed in ascending tile order).
   int shards = 1;
-  /// Emit fabric.halo_writes / fabric.halo_bytes telemetry columns. Off by
-  /// default: telemetry CSVs are byte-identical across shard counts of one
-  /// config, and these columns are structurally zero with one tile.
-  bool telemetry_halo = false;
   /// Livelock/starvation watchdogs (opt-in; see src/sim/simulator.cpp,
   /// watchdog_check). When enabled, every `period` cycles the simulator
   /// scans the fabric for the oldest in-flight flit and every NI for its

@@ -49,13 +49,11 @@ Simulator::Simulator(SimConfig config, WorkloadSpec workload)
                                               config_.link_latency,
                                               config_.adaptive_routing
                                                   ? BlessRouting::MinimalAdaptive
-                                                  : BlessRouting::StrictXY,
-                                              config_.route_table_max_nodes);
+                                                  : BlessRouting::StrictXY);
       break;
     case RouterKind::Buffered:
       fabric_ = std::make_unique<BufferedFabric>(*topo_, config_.router_latency,
-                                                 config_.link_latency,
-                                                 config_.route_table_max_nodes);
+                                                 config_.link_latency);
       break;
   }
   fabric_->set_eject_sink([this](NodeId at, const Flit& f) { on_flit_ejected(at, f); });
@@ -814,12 +812,6 @@ void Simulator::attach_telemetry(TelemetryHub* hub) {
                   });
   hub_->add_gauge("fabric.in_flight",
                   [this] { return static_cast<double>(fabric_->in_flight()); });
-  if (config_.telemetry_halo) {
-    // Opt-in: these columns would break the CSV byte-identity of one config
-    // across shard counts (structurally zero with one tile).
-    hub_->add_counter("fabric.halo_writes", [this] { return fabric_->stats().halo_writes; });
-    hub_->add_counter("fabric.halo_bytes", [this] { return fabric_->stats().halo_bytes; });
-  }
 
   // Per-node columns.
   for (NodeId i = 0; i < config_.num_nodes(); ++i) {

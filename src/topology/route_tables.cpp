@@ -93,8 +93,7 @@ RouteTables build_route_tables(const Topology& topo) {
     }
 
     for (NodeId u = 0; u < n; ++u) {
-      const std::size_t idx =
-          static_cast<std::size_t>(u) * static_cast<std::size_t>(n) + static_cast<std::size_t>(dst);
+      const std::size_t idx = t.index(u, dst);
       NOCSIM_CHECK_MSG(dist[static_cast<std::size_t>(u)] != kInfCost,
                        "topology is not strongly connected: a node cannot reach a destination");
       t.cost[idx] = dist[static_cast<std::size_t>(u)];
@@ -123,15 +122,10 @@ RouteTables build_route_tables(const Topology& topo) {
     });
     for (const NodeId u : order) {
       if (u == dst) continue;
-      const std::size_t idx =
-          static_cast<std::size_t>(u) * static_cast<std::size_t>(n) + static_cast<std::size_t>(dst);
       const RoutePreference pref = t.pref(u, dst);
       const NodeId next = topo.link(u, static_cast<int>(pref.dirs[0])).to;
       NOCSIM_DCHECK(next != kInvalidNode);
-      t.hops[idx] = static_cast<std::uint16_t>(
-          t.hops[static_cast<std::size_t>(next) * static_cast<std::size_t>(n) +
-                 static_cast<std::size_t>(dst)] +
-          1);
+      t.hops[t.index(u, dst)] = static_cast<std::uint16_t>(t.hops[t.index(next, dst)] + 1);
     }
   }
   return t;
@@ -176,13 +170,9 @@ bool check_cdg_acyclic(const Topology& topo, const RouteTables& tables) {
     // Far-to-near: a node's predecessors on the routing tree are strictly
     // farther (higher cost), so descending (cost, id) order resolves every
     // arrival mask before its node is processed.
-    std::sort(order.begin(), order.end(), [&tables, dst, n](NodeId a, NodeId b) {
-      const std::uint32_t ca =
-          tables.cost[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
-                      static_cast<std::size_t>(dst)];
-      const std::uint32_t cb =
-          tables.cost[static_cast<std::size_t>(b) * static_cast<std::size_t>(n) +
-                      static_cast<std::size_t>(dst)];
+    std::sort(order.begin(), order.end(), [&tables, dst](NodeId a, NodeId b) {
+      const std::uint32_t ca = tables.cost[tables.index(a, dst)];
+      const std::uint32_t cb = tables.cost[tables.index(b, dst)];
       return ca != cb ? ca > cb : a > b;
     });
     // Remember, per node, which upstream link delivered each arriving state

@@ -2,16 +2,18 @@
 //
 // build_route_tables runs one reverse-graph Dijkstra per destination over
 // the topology's directed links, weighted by per-link latency, and packs the
-// result into the flat table layout the fabric's hot path consumes (one byte
-// per (src, dst): productive-port count + first two ports).
+// result into the flat RouteTables layout (topology/topology.hpp: one byte
+// per (src, dst) for the productive-port count and first two ports).
+// Irregular topologies route on these tables. Grid topologies route on the
+// analytic dimension-order rule instead, and tests use this builder's grid
+// branch as an independent oracle for it.
 //
 // Determinism is pinned by construction, not by heap order: candidate ports
 // are ranked from the *final* distance array, so any Dijkstra visit order
 // yields the same tables.
 //   - Grid families rank candidates in dimension order (x, then y, then z);
 //     when both directions of a torus ring tie (even ring, half-way around),
-//     the positive direction wins — exactly the analytic ring_offset rule,
-//     so 2D mesh/torus tables are bit-identical to the pre-builder ones.
+//     the positive direction wins — exactly the analytic rule's tie-break.
 //   - Irregular graphs rank by output-port index (ports are assigned in
 //     ascending neighbour order by the parser), i.e. lowest-index next-hop.
 //
@@ -21,44 +23,9 @@
 // whether it is cycle-free.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "topology/topology.hpp"
 
 namespace nocsim {
-
-struct RouteTables {
-  int nodes = 0;
-  /// [src * nodes + dst]: (count & 3) | dir0 << 2 | dir1 << 5.
-  std::vector<std::uint8_t> packed;
-  /// [src * nodes + dst]: hop length of the preferred (dirs[0]) path.
-  std::vector<std::uint16_t> hops;
-  /// [src * nodes + dst]: latency-weighted shortest distance.
-  std::vector<std::uint32_t> cost;
-
-  [[nodiscard]] static std::uint8_t pack(const RoutePreference& p) {
-    return static_cast<std::uint8_t>((p.count & 3) |
-                                     (static_cast<int>(p.dirs[0]) << 2) |
-                                     (static_cast<int>(p.dirs[1]) << 5));
-  }
-
-  [[nodiscard]] RoutePreference pref(NodeId src, NodeId dst) const {
-    const std::uint8_t p =
-        packed[static_cast<std::size_t>(src) * static_cast<std::size_t>(nodes) +
-               static_cast<std::size_t>(dst)];
-    RoutePreference r;
-    r.count = p & 3;
-    r.dirs[0] = static_cast<Dir>((p >> 2) & 7);
-    r.dirs[1] = static_cast<Dir>((p >> 5) & 7);
-    return r;
-  }
-
-  [[nodiscard]] int hop_distance(NodeId src, NodeId dst) const {
-    return hops[static_cast<std::size_t>(src) * static_cast<std::size_t>(nodes) +
-                static_cast<std::size_t>(dst)];
-  }
-};
 
 /// Build the full table set. CHECKs that every node can reach every other.
 RouteTables build_route_tables(const Topology& topo);

@@ -1,7 +1,6 @@
 #include "topology/topology.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -35,24 +34,39 @@ void Topology::finalize_links(std::vector<std::array<Link, kNumDirs>> links) {
   }
 }
 
-namespace {
-
-// Signed shortest offset from `a` to `b` on a ring of size `n`, in
-// (-n/2, n/2]. Positive means travel in the increasing direction.
-int ring_offset(int a, int b, int n) {
-  int fwd = (b - a + n) % n;       // hops in the increasing direction
-  if (fwd * 2 > n) fwd -= n;       // shorter the other way (ties stay positive)
-  return fwd;
+void Topology::init_grid_routes(bool wrap) {
+  wrap_ = wrap;
+  extent_ = {width_, height_, depth_};
+  const auto n = static_cast<std::size_t>(num_nodes());
+  coords_.resize(n);
+  for (NodeId v = 0; v < num_nodes(); ++v) {
+    const Coord c = coord_of(v);
+    coords_[static_cast<std::size_t>(v)] = {static_cast<std::int16_t>(c.x),
+                                            static_cast<std::int16_t>(c.y),
+                                            static_cast<std::int16_t>(c.z)};
+  }
+  if (num_nodes() > kRouteTableMaxNodes) return;
+  // Every grid link has latency 1, so the latency-weighted cost is the hop
+  // count.
+  RouteTables t;
+  t.nodes = num_nodes();
+  t.packed.resize(n * n);
+  t.hops.resize(n * n);
+  t.cost.resize(n * n);
+  for (NodeId a = 0; a < num_nodes(); ++a) {
+    for (NodeId b = 0; b < num_nodes(); ++b) {
+      const std::size_t i = t.index(a, b);
+      t.packed[i] = RouteTables::pack(grid_route(a, b));
+      t.hops[i] = static_cast<std::uint16_t>(distance(a, b));
+      t.cost[i] = t.hops[i];
+    }
+  }
+  tables_ = std::move(t);
 }
-
-constexpr std::array<Dir, 3> kPosDir{Dir::East, Dir::South, Dir::Down};
-constexpr std::array<Dir, 3> kNegDir{Dir::West, Dir::North, Dir::Up};
-
-}  // namespace
 
 GridTopology::GridTopology(Kind kind, int width, int height, int depth, int concentration,
                            bool wrap)
-    : Topology(kind, width, height, depth, concentration), wrap_(wrap) {
+    : Topology(kind, width, height, depth, concentration) {
   const std::array<int, 3> size{width, height, depth};
   std::vector<std::array<Link, kNumDirs>> links(static_cast<std::size_t>(num_nodes()));
   for (NodeId n = 0; n < num_nodes(); ++n) {
@@ -66,7 +80,7 @@ GridTopology::GridTopology(Kind kind, int width, int height, int depth, int conc
         int v = at[static_cast<std::size_t>(dim)] + step;
         bool wraps = false;
         if (v < 0 || v >= size[static_cast<std::size_t>(dim)]) {
-          if (!wrap_) continue;  // mesh edge
+          if (!wrap) continue;  // mesh edge
           v = (v + size[static_cast<std::size_t>(dim)]) % size[static_cast<std::size_t>(dim)];
           wraps = true;
         }
@@ -83,34 +97,7 @@ GridTopology::GridTopology(Kind kind, int width, int height, int depth, int conc
     }
   }
   finalize_links(std::move(links));
-}
-
-int GridTopology::distance(NodeId a, NodeId b) const {
-  const Coord ca = coord_of(a), cb = coord_of(b);
-  const std::array<int, 3> fa{ca.x, ca.y, ca.z};
-  const std::array<int, 3> fb{cb.x, cb.y, cb.z};
-  const std::array<int, 3> size{width_, height_, depth_};
-  int sum = 0;
-  for (std::size_t dim = 0; dim < 3; ++dim) {
-    sum += wrap_ ? std::abs(ring_offset(fa[dim], fb[dim], size[dim]))
-                 : std::abs(fa[dim] - fb[dim]);
-  }
-  return sum;
-}
-
-RoutePreference GridTopology::route_preference(NodeId from, NodeId to) const {
-  const Coord cf = coord_of(from), ct = coord_of(to);
-  const std::array<int, 3> ff{cf.x, cf.y, cf.z};
-  const std::array<int, 3> ft{ct.x, ct.y, ct.z};
-  const std::array<int, 3> size{width_, height_, depth_};
-  RoutePreference pref;
-  for (std::size_t dim = 0; dim < 3; ++dim) {
-    const int off = wrap_ ? ring_offset(ff[dim], ft[dim], size[dim]) : ft[dim] - ff[dim];
-    if (off == 0) continue;
-    if (pref.count == 2) break;  // three productive dims: the table keeps two
-    pref.dirs[static_cast<std::size_t>(pref.count++)] = off > 0 ? kPosDir[dim] : kNegDir[dim];
-  }
-  return pref;
+  init_grid_routes(wrap);
 }
 
 namespace {
@@ -225,19 +212,7 @@ IrregularTopology::IrregularTopology(const std::string& path)
 
   // Dijkstra tables double as the connectivity check: an unreachable pair
   // fails with "not strongly connected" inside the builder.
-  tables_ = std::make_unique<RouteTables>(build_route_tables(*this));
-}
-
-IrregularTopology::~IrregularTopology() = default;
-
-int IrregularTopology::distance(NodeId a, NodeId b) const {
-  // Hop length of the routing path (the tree the fabric actually uses);
-  // with non-uniform latencies this can exceed the unweighted hop minimum.
-  return tables_->hop_distance(a, b);
-}
-
-RoutePreference IrregularTopology::route_preference(NodeId from, NodeId to) const {
-  return tables_->pref(from, to);
+  set_route_tables(build_route_tables(*this));
 }
 
 std::unique_ptr<Topology> make_topology(const TopologySpec& spec) {

@@ -1,13 +1,16 @@
-// Network topologies as explicit link graphs.
+// Network topologies as explicit link graphs, and the one place routing
+// is decided.
 //
 // Every topology — 2D/3D mesh, 2D/3D torus, concentrated mesh, and
 // file-loaded irregular graphs — is a directed graph of per-port links over
-// router nodes. Grid families keep their analytic coordinate math
-// (distance, dimension-order route preference) as pure functions; irregular
-// graphs answer the same queries from Dijkstra-built tables (see
-// topology/route_tables.hpp). The fabric layer consumes only the graph
-// (ports, input slots, latencies) plus the routing tables the builder
-// produces, so one router implementation drives every family.
+// router nodes. Topology::route_preference and Topology::distance answer
+// "which port and how far" for every family, inline: from the topology's
+// flat RouteTables when it has them, else from the analytic
+// dimension-order rule over cached coordinates. Grids of up to
+// kRouteTableMaxNodes nodes fill their tables from that rule; larger grids
+// compute it per call; irregular graphs always carry Dijkstra-built
+// tables (topology/route_tables.hpp). The fabric layer holds no routing
+// state of its own, so one router implementation drives every family.
 //
 // Coordinate convention: x grows East, y grows South (row 0 is the north
 // edge), z grows Down. Node id = x + width * (y + height * z). Concentrated
@@ -16,8 +19,11 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -43,7 +49,40 @@ struct RoutePreference {
   int count = 0;  ///< 0 means "already at destination"
 };
 
-struct RouteTables;  // topology/route_tables.hpp
+/// Flat per-(src, dst) routing tables: the hot-path form of
+/// route_preference and distance, one packed byte and one uint16 hop count
+/// per ordered node pair.
+struct RouteTables {
+  int nodes = 0;
+  /// [src * nodes + dst]: (count & 3) | dir0 << 2 | dir1 << 5.
+  std::vector<std::uint8_t> packed;
+  /// [src * nodes + dst]: hop length of the preferred (dirs[0]) path.
+  std::vector<std::uint16_t> hops;
+  /// [src * nodes + dst]: latency-weighted shortest distance.
+  std::vector<std::uint32_t> cost;
+
+  [[nodiscard]] static std::uint8_t pack(const RoutePreference& p) {
+    return static_cast<std::uint8_t>((p.count & 3) |
+                                     (static_cast<int>(p.dirs[0]) << 2) |
+                                     (static_cast<int>(p.dirs[1]) << 5));
+  }
+
+  [[nodiscard]] RoutePreference pref(NodeId src, NodeId dst) const {
+    const std::uint8_t p = packed[index(src, dst)];
+    RoutePreference r;
+    r.count = p & 3;
+    r.dirs[0] = static_cast<Dir>((p >> 2) & 7);
+    r.dirs[1] = static_cast<Dir>((p >> 5) & 7);
+    return r;
+  }
+
+  [[nodiscard]] int hop_distance(NodeId src, NodeId dst) const { return hops[index(src, dst)]; }
+
+  [[nodiscard]] std::size_t index(NodeId src, NodeId dst) const {
+    return static_cast<std::size_t>(src) * static_cast<std::size_t>(nodes) +
+           static_cast<std::size_t>(dst);
+  }
+};
 
 class Topology {
  public:
@@ -72,6 +111,11 @@ class Topology {
     NodeId from = kInvalidNode;
     std::uint8_t from_port = 0;
   };
+
+  /// Largest grid whose routes are tabulated (16x16: 64 Ki pairs, 448 KiB).
+  /// Below it a table lookup beats the analytic rule in the fabric's hot
+  /// path; above it the tables grow as N^2 and the rule is computed per call.
+  static constexpr int kRouteTableMaxNodes = 256;
 
   virtual ~Topology() = default;
 
@@ -111,12 +155,27 @@ class Topology {
     return in_links_[static_cast<std::size_t>(n)][static_cast<std::size_t>(slot)];
   }
 
-  /// Minimal hop distance between two nodes.
-  [[nodiscard]] virtual int distance(NodeId a, NodeId b) const = 0;
+  /// Hop length of the routing path from a to b: the minimal hop distance
+  /// on grids; on irregular graphs the length of the latency-shortest path
+  /// the tables route along (it can exceed the unweighted hop minimum).
+  [[nodiscard]] int distance(NodeId a, NodeId b) const {
+    if (tables_.nodes != 0) return tables_.hop_distance(a, b);
+    int sum = 0;
+    for (int dim = 0; dim < 3; ++dim) sum += std::abs(grid_offset(dim, a, b));
+    return sum;
+  }
 
-  /// Productive ports from `from` toward `to` (dimension order on grids,
-  /// table-ranked on irregular graphs).
-  [[nodiscard]] virtual RoutePreference route_preference(NodeId from, NodeId to) const = 0;
+  /// Productive ports from `from` toward `to`. Hot: once per flit per hop.
+  [[nodiscard]] RoutePreference route_preference(NodeId from, NodeId to) const {
+    if (tables_.nodes != 0) return tables_.pref(from, to);
+    return grid_route(from, to);
+  }
+
+  /// The topology's routing tables, or nullptr for a grid above
+  /// kRouteTableMaxNodes (which routes analytically).
+  [[nodiscard]] const RouteTables* route_tables() const {
+    return tables_.nodes != 0 ? &tables_ : nullptr;
+  }
 
   /// Number of usable output ports at `n`.
   [[nodiscard]] int degree(NodeId n) const { return out_degree_[static_cast<std::size_t>(n)]; }
@@ -140,6 +199,17 @@ class Topology {
   /// slot bound. Called exactly once from each subclass constructor.
   void finalize_links(std::vector<std::array<Link, kNumDirs>> links);
 
+  /// Grid families: cache per-node coordinates for the analytic rule and,
+  /// up to kRouteTableMaxNodes nodes, tabulate that rule.
+  void init_grid_routes(bool wrap);
+  /// Irregular graphs: install Dijkstra-built tables.
+  void set_route_tables(RouteTables tables) { tables_ = std::move(tables); }
+
+  /// Output port that moves along dimension 0/1/2 in the increasing /
+  /// decreasing direction.
+  static constexpr std::array<Dir, 3> kPosDir{Dir::East, Dir::South, Dir::Down};
+  static constexpr std::array<Dir, 3> kNegDir{Dir::West, Dir::North, Dir::Up};
+
   Kind kind_;
   int width_;
   int height_;
@@ -153,21 +223,52 @@ class Topology {
   std::vector<std::uint8_t> in_degree_;
   int in_slot_bound_ = 0;
   bool has_wrap_ = false;
+
+  /// Signed shortest offset from `a` to `b` on a ring of `n` positions, in
+  /// (-n/2, n/2]: positive means the increasing direction, and the
+  /// half-way tie on an even ring stays positive.
+  [[nodiscard]] static constexpr int ring_offset(int a, int b, int n) {
+    int fwd = b - a;
+    if (fwd < 0) fwd += n;
+    if (fwd * 2 > n) fwd -= n;
+    return fwd;
+  }
+
+  /// Signed offset from `a` to `b` along dimension `dim` (0 = x, 1 = y,
+  /// 2 = z): the shorter way around a torus ring, the plain difference on a
+  /// mesh.
+  [[nodiscard]] int grid_offset(int dim, NodeId a, NodeId b) const {
+    const auto d = static_cast<std::size_t>(dim);
+    const int ca = coords_[static_cast<std::size_t>(a)][d];
+    const int cb = coords_[static_cast<std::size_t>(b)][d];
+    return wrap_ ? ring_offset(ca, cb, extent_[d]) : cb - ca;
+  }
+
+  /// The analytic dimension-order rule: productive ports in order x, y, z,
+  /// keeping the first two.
+  [[nodiscard]] RoutePreference grid_route(NodeId from, NodeId to) const {
+    RoutePreference pref;
+    for (std::size_t dim = 0; dim < 3 && pref.count < 2; ++dim) {
+      const int off = grid_offset(static_cast<int>(dim), from, to);
+      if (off == 0) continue;
+      pref.dirs[static_cast<std::size_t>(pref.count++)] = off > 0 ? kPosDir[dim] : kNegDir[dim];
+    }
+    return pref;
+  }
+
+  RouteTables tables_;  ///< nodes == 0: none (grid above kRouteTableMaxNodes)
+  std::vector<std::array<std::int16_t, 3>> coords_;  ///< grids: (x, y, z) per node
+  std::array<int, 3> extent_{};                      ///< grids: (width, height, depth)
+  bool wrap_ = false;                                ///< grids: rings in every dimension
 };
 
-/// Shared implementation for every grid family: k-ary n-cube with optional
-/// per-dimension wraparound. Distance and route preference are the analytic
-/// dimension-order forms (torus rings take the shorter way; ties go to the
-/// positive direction), identical to the Dijkstra tables the fabric builds.
+/// Shared link construction for every grid family: k-ary n-cube with
+/// optional per-dimension wraparound, routed by the analytic
+/// dimension-order rule (torus rings take the shorter way; ties go to the
+/// positive direction).
 class GridTopology : public Topology {
- public:
-  [[nodiscard]] int distance(NodeId a, NodeId b) const override;
-  [[nodiscard]] RoutePreference route_preference(NodeId from, NodeId to) const override;
-
  protected:
   GridTopology(Kind kind, int width, int height, int depth, int concentration, bool wrap);
-
-  bool wrap_;
 };
 
 /// 2D mesh: no wraparound; edge routers have degree 2 or 3.
@@ -229,14 +330,8 @@ class CMesh final : public GridTopology {
 class IrregularTopology final : public Topology {
  public:
   explicit IrregularTopology(const std::string& path);
-  ~IrregularTopology() override;
 
   [[nodiscard]] std::string name() const override { return "irregular"; }
-  [[nodiscard]] int distance(NodeId a, NodeId b) const override;
-  [[nodiscard]] RoutePreference route_preference(NodeId from, NodeId to) const override;
-
- private:
-  std::unique_ptr<RouteTables> tables_;
 };
 
 /// Config-driven topology selection. `file` is required for "irregular"

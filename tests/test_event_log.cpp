@@ -177,7 +177,12 @@ TEST(EventLog, ThrottleDecisionsReconstructFromTheCsvAlone) {
       ++next;
     }
     for (NodeId i = 0; i < c.num_nodes(); ++i) {
-      const std::string& cell = hub.cell(r, "n" + std::to_string(i) + ".throttle_rate");
+      // (Built up in steps: GCC 12's -Wrestrict misfires on chained
+      // string literal + to_string concatenation at -O3.)
+      std::string column = "n";
+      column += std::to_string(i);
+      column += ".throttle_rate";
+      const std::string& cell = hub.cell(r, column);
       EXPECT_EQ(std::stod(cell), rate[static_cast<std::size_t>(i)])
           << "node " << i << " at cycle " << at;
       ++checked_cells;

@@ -7,9 +7,9 @@
 //   2. cost[] is the true shortest latency-weighted distance (checked
 //      against an independent Floyd-Warshall reference);
 //   3. the tables are a pure function of the graph — building twice yields
-//      byte-identical packed/hops/cost arrays, and for the 2D grids the
-//      packed preferences are bit-identical to the analytic
-//      route_preference rule they replaced;
+//      byte-identical packed/hops/cost arrays — and on every grid family
+//      they agree with the topology's analytic dimension-order rule, both
+//      where the topology tabulates it and where it computes it per call;
 //   4. the preferred paths are deadlock-free — check_cdg_acyclic holds for
 //      every topology family the simulator ships.
 //
@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "fabric_harness.hpp"
 #include "noc/bless_fabric.hpp"
 #include "topology/route_tables.hpp"
 #include "topology/topology.hpp"
@@ -197,28 +198,44 @@ TEST(RouteTableFuzz, SameGraphBuildsByteIdenticalTablesTwice) {
   }
 }
 
-TEST(RouteTableGrid, TablesMatchAnalyticPreferenceOn2DGrids) {
-  // The builder's grid tie-break (dimension order, positive direction wins a
-  // ring tie) must reproduce the analytic rule bit for bit — this is what
-  // keeps the 2D goldens byte-identical across the table rewrite.
+/// EXPECTs that the topology's route_preference and distance for src -> dst
+/// equal the Dijkstra oracle's entry.
+void expect_matches_oracle(const Topology& topo, const RouteTables& oracle, NodeId s,
+                           NodeId d) {
+  const RoutePreference want = oracle.pref(s, d);
+  const RoutePreference got = topo.route_preference(s, d);
+  ASSERT_EQ(got.count, want.count) << topo.name() << " " << s << "->" << d;
+  for (int i = 0; i < want.count; ++i) {
+    EXPECT_EQ(got.dirs[i], want.dirs[i]) << topo.name() << " " << s << "->" << d;
+  }
+  EXPECT_EQ(topo.distance(s, d), oracle.hop_distance(s, d))
+      << topo.name() << " " << s << "->" << d;
+}
+
+TEST(RouteTableGrid, TablesMatchAnalyticPreferenceOnEveryGridFamily) {
+  // Grid topologies tabulate the analytic dimension-order rule; the
+  // builder's grid tie-break (dimension order, positive direction wins a
+  // ring tie) is an independent derivation of the same routes from the
+  // link graph. The two must agree on every pair of every family.
   const Mesh mesh(4, 4);
   const Torus torus_even(4, 4);  // even ring: exercises the half-way tie
   const Torus torus_odd(5, 3);
-  for (const Topology* topo : {static_cast<const Topology*>(&mesh),
-                               static_cast<const Topology*>(&torus_even),
-                               static_cast<const Topology*>(&torus_odd)}) {
-    const RouteTables t = build_route_tables(*topo);
+  const Torus ring_even(8, 1);
+  const Torus ring_odd(7, 1);
+  const Mesh3D mesh3d(3, 4, 3);
+  const Torus3D torus3d_d2(4, 4, 2);  // a 2-ring: both z links reach one node
+  const Torus3D torus3d_d3(4, 3, 3);
+  const CMesh cmesh(4, 4);
+  for (const Topology* topo :
+       {static_cast<const Topology*>(&mesh), static_cast<const Topology*>(&torus_even),
+        static_cast<const Topology*>(&torus_odd), static_cast<const Topology*>(&ring_even),
+        static_cast<const Topology*>(&ring_odd), static_cast<const Topology*>(&mesh3d),
+        static_cast<const Topology*>(&torus3d_d2), static_cast<const Topology*>(&torus3d_d3),
+        static_cast<const Topology*>(&cmesh)}) {
+    ASSERT_NE(topo->route_tables(), nullptr) << topo->name();
+    const RouteTables oracle = build_route_tables(*topo);
     for (NodeId s = 0; s < topo->num_nodes(); ++s) {
-      for (NodeId d = 0; d < topo->num_nodes(); ++d) {
-        if (s == d) continue;
-        const RoutePreference want = topo->route_preference(s, d);
-        const RoutePreference got = t.pref(s, d);
-        ASSERT_EQ(got.count, want.count) << topo->name() << " " << s << "->" << d;
-        for (int i = 0; i < want.count; ++i) {
-          EXPECT_EQ(got.dirs[i], want.dirs[i]) << topo->name() << " " << s << "->" << d;
-        }
-        EXPECT_EQ(t.hop_distance(s, d), topo->distance(s, d));
-      }
+      for (NodeId d = 0; d < topo->num_nodes(); ++d) expect_matches_oracle(*topo, oracle, s, d);
     }
   }
 }
@@ -234,28 +251,57 @@ TEST(RouteTableCdg, AcyclicForEveryShippedFamily) {
                                static_cast<const Topology*>(&mesh3d),
                                static_cast<const Topology*>(&torus3d),
                                static_cast<const Topology*>(&cmesh)}) {
-    const RouteTables t = build_route_tables(*topo);
-    EXPECT_TRUE(check_cdg_acyclic(*topo, t)) << topo->name();
+    EXPECT_TRUE(check_cdg_acyclic(*topo, build_route_tables(*topo))) << topo->name();
+    EXPECT_TRUE(check_cdg_acyclic(*topo, *topo->route_tables())) << topo->name();
   }
   // The shipped irregular example: a line whose ring closure is a slow
   // escape link plus an express chord (see examples/irregular8.topo).
   IrregularTopology irr(NOCSIM_EXAMPLE_TOPO);
-  EXPECT_TRUE(check_cdg_acyclic(irr, build_route_tables(irr))) << "examples/irregular8.topo";
+  EXPECT_TRUE(check_cdg_acyclic(irr, *irr.route_tables())) << "examples/irregular8.topo";
 }
 
-TEST(RouteTableCap, BuildsAndDrivesFabricAt1024Nodes) {
-  // Regression for the old hard 256-node table cap: a 16x16x4 mesh must
-  // build full tables and feed them to the fabric when the config-driven
-  // cap is raised.
-  const Mesh3D topo(16, 16, 4);
-  const RouteTables t = build_route_tables(topo);
-  EXPECT_EQ(t.nodes, 1024);
-  EXPECT_EQ(t.packed.size(), 1024u * 1024u);
-  // Spot-check a corner-to-corner path instead of all 2^20 pairs.
-  check_walk(topo, t, 0, topo.num_nodes() - 1);
-  check_walk(topo, t, topo.num_nodes() - 1, 0);
-  BlessFabric fabric(topo, 2, 1, BlessRouting::StrictXY, /*table_cap=*/1024);
+TEST(RouteTableCap, AnalyticPathMatchesOracleAbove256Nodes) {
+  // Above kRouteTableMaxNodes a grid keeps no tables and computes the
+  // analytic rule per call; on a 16x16x4 mesh and an 8x8x8 torus (even
+  // rings: the half-way tie) that rule must still match the Dijkstra
+  // oracle. Every source is checked against a stride of destinations
+  // coprime with the sides, so every (x, y, z) offset occurs.
+  const Mesh3D mesh(16, 16, 4);
+  const Torus3D torus(8, 8, 8);
+  for (const Topology* topo :
+       {static_cast<const Topology*>(&mesh), static_cast<const Topology*>(&torus)}) {
+    EXPECT_EQ(topo->route_tables(), nullptr) << topo->name();
+    const RouteTables oracle = build_route_tables(*topo);
+    for (NodeId s = 0; s < topo->num_nodes(); ++s) {
+      for (NodeId d = s % 11; d < topo->num_nodes(); d += 11) {
+        expect_matches_oracle(*topo, oracle, s, d);
+      }
+    }
+    check_walk(*topo, oracle, 0, topo->num_nodes() - 1);
+  }
+  BlessFabric fabric(mesh);
   EXPECT_EQ(fabric.topology().num_nodes(), 1024);
+}
+
+TEST(RouteTableCap, IrregularRingAbove256NodesDeliversAPacket) {
+  // Irregular graphs keep their Dijkstra tables at any size: a 300-node
+  // bidirectional ring builds and routes a packet half-way around.
+  TestGraph g;
+  g.nodes = 300;
+  for (int i = 0; i < g.nodes; ++i) {
+    g.links.push_back(TestLink{i, (i + 1) % g.nodes, 1});
+    g.links.push_back(TestLink{(i + 1) % g.nodes, i, 1});
+  }
+  const IrregularTopology topo(write_topo_file(g, "ring300.topo"));
+  ASSERT_NE(topo.route_tables(), nullptr);
+  EXPECT_EQ(topo.distance(0, 150), 150);
+  BlessFabric fabric(topo);
+  testutil::FabricHarness h(fabric);
+  h.send(0, 150);
+  ASSERT_TRUE(h.drain(10'000));
+  ASSERT_EQ(h.deliveries().size(), 1u);
+  EXPECT_EQ(h.deliveries()[0].at, 150);
+  EXPECT_EQ(h.deliveries()[0].flit.hops, 150);
 }
 
 using RouteTableParserDeath = ::testing::Test;
