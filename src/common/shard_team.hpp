@@ -1,9 +1,9 @@
 // Persistent worker team for the sharded cycle loop.
 //
 // The cycle loop runs several short phases per simulated cycle with a full
-// barrier between them — far too fine-grained for a condvar pool like
-// common/thread_pool.hpp (a wake costs microseconds; a phase on a small
-// tile costs tens of nanoseconds). This team keeps tiles-1 workers parked
+// barrier between them — far too fine-grained for a condvar-woken pool (a
+// wake costs microseconds; a phase on a small tile costs tens of
+// nanoseconds). This team keeps tiles-1 workers parked
 // on an epoch counter: run(f) publishes the job with one release increment,
 // the caller executes tile 0 inline, and a done-counter closes the barrier.
 // Spin-then-yield keeps latency low on idle cores without burning a

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -50,7 +49,6 @@ class StatAccumulator {
   [[nodiscard]] double variance() const {
     return count_ ? m2_ / static_cast<double>(count_) : 0.0;
   }
-  [[nodiscard]] double stddev() const { return std::sqrt(variance()); }
   [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
 
@@ -229,11 +227,6 @@ class EmpiricalCdf {
     if (i + 1 >= samples_.size()) return samples_.back();
     const double frac = pos - static_cast<double>(i);
     return samples_[i] * (1 - frac) + samples_[i + 1] * frac;
-  }
-
-  [[nodiscard]] const std::vector<double>& sorted_samples() {
-    sort_if_needed();
-    return samples_;
   }
 
  private:

@@ -1,8 +1,10 @@
 #include "core/controller.hpp"
 
+#include "common/check.hpp"
+
 namespace nocsim {
 
-void CentralController::on_epoch(Cycle /*now*/, std::span<const NodeTelemetry> telemetry,
+bool CentralController::on_epoch(std::span<const NodeTelemetry> telemetry,
                                  const NetTelemetry& net, std::span<double> rates) {
   NOCSIM_CHECK(telemetry.size() == rates.size());
   const auto n = telemetry.size();
@@ -60,17 +62,7 @@ void CentralController::on_epoch(Cycle /*now*/, std::span<const NodeTelemetry> t
       rates[i] = 0.0;
     }
   }
-  note_epoch(congested);
-}
-
-std::unique_ptr<CongestionController> make_controller(const std::string& name,
-                                                      const CcParams& params,
-                                                      double static_rate) {
-  if (name == "none") return std::make_unique<NoController>();
-  if (name == "central") return std::make_unique<CentralController>(params);
-  if (name == "static") return std::make_unique<StaticController>(static_rate);
-  NOCSIM_CHECK_MSG(false, "unknown controller name (none|central|static)");
-  return nullptr;
+  return congested;
 }
 
 }  // namespace nocsim

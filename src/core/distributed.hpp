@@ -36,7 +36,7 @@ class DistributedCoordinator {
       : cc_(cc),
         dist_(dist),
         until_(num_nodes, 0),
-        ipf_(num_nodes, IpfSeed()),
+        ipf_(num_nodes, kIpfCap),  // unknown until the first local epoch
         marks_(static_cast<std::size_t>(num_nodes), 0) {}
 
   /// Re-evaluate whether node n should be marking flits (call every
@@ -71,8 +71,6 @@ class DistributedCoordinator {
   [[nodiscard]] const DistributedCcParams& params() const { return dist_; }
 
  private:
-  static constexpr double IpfSeed() { return 1e9; }  // unknown until first epoch
-
   CcParams cc_;
   DistributedCcParams dist_;
   std::vector<Cycle> until_;

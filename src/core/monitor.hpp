@@ -1,5 +1,6 @@
-// Per-node congestion telemetry: the starvation monitor (Algorithm 2) and
-// the IPF (instructions-per-flit) tracker.
+// Per-node congestion telemetry: the starvation monitor (Algorithm 2). The
+// other controller input, IPF, is a division the simulator does at each
+// epoch boundary (and again over the measurement window for results).
 //
 // Starvation (§3.1): sigma = (1/W) * sum over the last W cycles of
 // starved(i), where starved means "tried to inject a flit but could not"
@@ -20,9 +21,12 @@
 
 namespace nocsim {
 
+/// W, the starvation window in cycles (§6.1).
+inline constexpr int kStarvationWindow = 128;
+
 class StarvationMonitor {
  public:
-  explicit StarvationMonitor(int window = 128) : window_(window) {}
+  explicit StarvationMonitor(int window = kStarvationWindow) : window_(window) {}
 
   void record(bool starved) {
     window_.record(starved);
@@ -58,36 +62,6 @@ class StarvationMonitor {
   SlidingWindowRate window_;
   std::uint64_t starved_cycles_ = 0;
   std::uint64_t observed_cycles_ = 0;
-};
-
-class IpfTracker {
- public:
-  /// IPF assigned to an application that produced no traffic in an epoch
-  /// (effectively CPU-bound for that period).
-  static constexpr double kMaxIpf = 1e9;
-
-  void add_instructions(std::uint64_t n) { instructions_ += n; }
-  void add_flits(std::uint64_t n) { flits_ += n; }
-
-  [[nodiscard]] double ipf() const {
-    if (flits_ == 0) return kMaxIpf;
-    return static_cast<double>(instructions_) / static_cast<double>(flits_);
-  }
-
-  [[nodiscard]] std::uint64_t instructions() const { return instructions_; }
-  [[nodiscard]] std::uint64_t flits() const { return flits_; }
-
-  /// Epoch boundary: return the epoch's IPF and restart counting.
-  double harvest() {
-    const double value = ipf();
-    instructions_ = 0;
-    flits_ = 0;
-    return value;
-  }
-
- private:
-  std::uint64_t instructions_ = 0;
-  std::uint64_t flits_ = 0;
 };
 
 }  // namespace nocsim

@@ -59,12 +59,11 @@ struct SimConfig {
   CcMode cc = CcMode::None;
   CcParams cc_params;
   DistributedCcParams dist_params;
-  double static_rate = 0.0;                 ///< CcMode::Static
-  /// Fig. 2(c) semantics: the static-throttling strawman gates *every*
-  /// injection ("all routers that desire to inject a flit are blocked"),
-  /// responses included. The §5 mechanism never throttles responses.
-  bool static_throttles_responses = true;
-  std::vector<double> selective_rates;      ///< CcMode::Selective (per node)
+  /// CcMode::Static, in [0, 1). Fig. 2(c) semantics: the strawman gates
+  /// *every* injection ("all routers that desire to inject a flit are
+  /// blocked"), responses included; every other mode gates requests only.
+  double static_rate = 0.0;
+  std::vector<double> selective_rates;      ///< CcMode::Selective (one per node)
   /// Throttle-gate implementation (Algorithm 3 deterministic counter vs the
   /// randomized gate the paper also mentions). See bench/abl_throttle_gate.
   bool randomized_throttle_gate = true;
@@ -72,7 +71,6 @@ struct SimConfig {
   /// traffic (default: oracle telemetry, as in the paper's evaluation; the
   /// overhead ablation turns this on).
   bool model_control_traffic = false;
-  NodeId controller_node = 0;
 
   // Run control.
   std::uint64_t seed = 1;

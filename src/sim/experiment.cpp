@@ -8,8 +8,8 @@
 namespace nocsim {
 namespace {
 
-/// The alone-run layout shared by the serial and primed paths: the app by
-/// itself at a central position of the base network.
+/// The alone-run layout: the app by itself at a central position of the base
+/// network.
 WorkloadSpec alone_workload(const SimConfig& base, int num_nodes, const std::string& app) {
   WorkloadSpec alone;
   alone.category = "alone:" + app;
@@ -30,19 +30,13 @@ AloneIpcCache::AloneIpcCache(SimConfig base) : base_(std::move(base)) {
   base_.cc = CcMode::None;  // IPC_alone is interference-free by definition
 }
 
-std::vector<double> AloneIpcCache::get(const WorkloadSpec& workload) {
+std::vector<double> AloneIpcCache::get(const WorkloadSpec& workload) const {
   std::vector<double> out(workload.app_names.size(), 0.0);
   for (NodeId i = 0; i < static_cast<NodeId>(workload.app_names.size()); ++i) {
     const std::string& app = workload.app_names[i];
     if (app.empty()) continue;
-    auto it = cache_.find(app);
-    if (it == cache_.end()) {
-      const auto alone =
-          alone_workload(base_, static_cast<int>(workload.app_names.size()), app);
-      const NodeId spot = base_.width / 2 + (base_.height / 2) * base_.width;
-      const SimResult r = run_workload(base_, alone);
-      it = cache_.emplace(app, r.nodes[spot].ipc).first;
-    }
+    const auto it = cache_.find(app);
+    NOCSIM_CHECK_MSG(it != cache_.end(), "alone IPC not primed for this application");
     out[i] = it->second;
   }
   return out;

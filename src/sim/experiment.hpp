@@ -23,13 +23,13 @@ class AloneIpcCache {
  public:
   explicit AloneIpcCache(SimConfig base);
 
-  /// IPC_alone for each node of `workload` (0.0 for idle nodes).
-  std::vector<double> get(const WorkloadSpec& workload);
+  /// IPC_alone for each node of `workload` (0.0 for idle nodes). Every
+  /// application in it must have been primed.
+  std::vector<double> get(const WorkloadSpec& workload) const;
 
   /// Run the alone-runs for every not-yet-cached application appearing in
-  /// `workloads` through `runner` (one sweep point per application, same
-  /// construction as the serial path in get()). After priming, get() is
-  /// pure cache lookup and a whole workload sweep can run in parallel.
+  /// `workloads` through `runner` (one sweep point per application), so a
+  /// whole workload sweep can look them up in parallel.
   void prime(const std::vector<WorkloadSpec>& workloads, SweepRunner& runner);
 
  private:

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "cpu/file_trace.hpp"
@@ -60,24 +61,24 @@ Simulator::Simulator(SimConfig config, WorkloadSpec workload)
 
   mapper_ = make_l2_mapper(config_.l2_map, *topo_, config_.locality_lambda);
 
+  fixed_rates_.assign(static_cast<std::size_t>(n), 0.0);
   switch (config_.cc) {
     case CcMode::None:
-      controller_ = std::make_unique<NoController>();
       break;
-    case CcMode::Central: {
-      auto central = std::make_unique<CentralController>(config_.cc_params);
-      central_ = central.get();
-      controller_ = std::move(central);
+    case CcMode::Central:
+      central_.emplace(config_.cc_params);
       break;
-    }
     case CcMode::Static:
-      controller_ = std::make_unique<StaticController>(config_.static_rate);
+      NOCSIM_CHECK_MSG(config_.static_rate >= 0.0 && config_.static_rate < 1.0,
+                       "static rate must be in [0, 1)");
+      fixed_rates_.assign(static_cast<std::size_t>(n), config_.static_rate);
       break;
     case CcMode::Selective:
-      controller_ = std::make_unique<SelectiveStaticController>(config_.selective_rates);
+      NOCSIM_CHECK_MSG(static_cast<int>(config_.selective_rates.size()) == n,
+                       "selective rates must name one rate per node");
+      fixed_rates_ = config_.selective_rates;
       break;
     case CcMode::Distributed:
-      controller_ = std::make_unique<NoController>();  // rates come from the coordinator
       distributed_.emplace(n, config_.cc_params, config_.dist_params);
       fabric_->enable_marking();
       break;
@@ -275,7 +276,7 @@ void Simulator::on_packet(NodeId at, const Flit& header) {
       break;
     }
     case PacketKind::Control:
-      if (at != config_.controller_node) {
+      if (at != kControllerNode) {
         // Rate-setting packet arrived: adopt the staged rate. Cycles up to
         // and including now_ ran under the old rate — replay them before
         // the change (the fabric steps after the injection loop).
@@ -351,7 +352,7 @@ bool Simulator::ni_inject(NodeId n) {
   // traffic is never throttled (§5).
   // The Fig. 2(c) static strawman gates all traffic classes; the real
   // mechanism gates request-packet heads only.
-  const bool gate_all = (config_.cc == CcMode::Static && config_.static_throttles_responses);
+  const bool gate_all = (config_.cc == CcMode::Static);
 
   bool injected = false;
   if (can_inject) {
@@ -418,7 +419,7 @@ void Simulator::epoch_update() {
     }
     const double ipf = ni.epoch_flits
                            ? static_cast<double>(retired) / static_cast<double>(ni.epoch_flits)
-                           : IpfTracker::kMaxIpf;
+                           : kIpfCap;
     telemetry_[i] = NodeTelemetry{ipf, ni.starvation.windowed_rate()};
     ni.epoch_flits = 0;
     if (measuring_ && config_.record_epoch_ipf && any_core) epoch_ipf_[i].push_back(ipf);
@@ -435,7 +436,16 @@ void Simulator::epoch_update() {
   epoch_min_hops_at_last_ = fs.min_hops_total;
   net.hop_inflation = d_min ? static_cast<double>(d_hops) / static_cast<double>(d_min) : 1.0;
 
-  controller_->on_epoch(now_, telemetry_, net, staged_rates_);
+  if (central_) {
+    congested_ = central_->on_epoch(telemetry_, net, staged_rates_);
+  } else {
+    // Fixed rates count as congested whenever they throttle anything.
+    std::copy(fixed_rates_.begin(), fixed_rates_.end(), staged_rates_.begin());
+    congested_ = std::any_of(fixed_rates_.begin(), fixed_rates_.end(),
+                             [](double r) { return r > 0.0; });
+  }
+  ++epochs_;
+  if (congested_) ++congested_epochs_;
   if (events_ != nullptr) emit_epoch_events(net);
 
   if (!config_.model_control_traffic) {
@@ -445,7 +455,7 @@ void Simulator::epoch_update() {
   // Model the 2n control packets (§6.6): each node reports to the
   // controller; the controller sends each node its rate. Rates take effect
   // when the rate packet is delivered.
-  const NodeId ctrl = config_.controller_node;
+  const NodeId ctrl = kControllerNode;
   nis_[ctrl].throttler.set_rate(staged_rates_[ctrl]);
   for (NodeId i = 0; i < n; ++i) {
     if (i == ctrl) continue;
@@ -465,15 +475,14 @@ void Simulator::emit_epoch_events(const NetTelemetry& net) {
   // Emission order is fixed — network events, then per-node events in
   // ascending node id — and everything here is simulated state, so the
   // stream is byte-identical at any shard count.
-  const double esc = central_ != nullptr ? central_->escalation() : 1.0;
-  const double mean_ipf = central_ != nullptr ? central_->last_mean_ipf() : 0.0;
-  const bool congested = controller_->last_congested();
-  if (congested != event_congested_) {
-    events_->emit(SimEvent{now_, congested ? SimEventKind::HotspotOn : SimEventKind::HotspotOff,
+  const double esc = central_ ? central_->escalation() : 1.0;
+  const double mean_ipf = central_ ? central_->last_mean_ipf() : 0.0;
+  if (congested_ != event_congested_) {
+    events_->emit(SimEvent{now_, congested_ ? SimEventKind::HotspotOn : SimEventKind::HotspotOff,
                            kInvalidNode, esc, mean_ipf, 0.0, 0.0, net.hop_inflation});
-    event_congested_ = congested;
+    event_congested_ = congested_;
   }
-  if (congested) {
+  if (congested_) {
     events_->emit(SimEvent{now_, SimEventKind::CcEpoch, kInvalidNode, esc, mean_ipf, 0.0, 0.0,
                            net.hop_inflation});
   }
@@ -686,8 +695,8 @@ void Simulator::begin_measurement() {
     nis_[i].measure_flits = 0;
     nis_[i].rate_integral = 0.0;
   }
-  epochs_at_measure_start_ = controller_->epochs_total();
-  congested_epochs_at_measure_start_ = controller_->epochs_congested();
+  epochs_ = 0;
+  congested_epochs_ = 0;
   for (SimTile& t : tiles_) {
     t.lat_all = LatencyHistograms{};
     t.lat_class.fill(LatencyHistograms{});
@@ -745,7 +754,7 @@ SimResult Simulator::collect(Cycle measured_cycles) {
     nr.flits = ni.measure_flits;
     nr.ipf = ni.measure_flits ? static_cast<double>(nr.retired) /
                                     static_cast<double>(ni.measure_flits)
-                              : IpfTracker::kMaxIpf;
+                              : kIpfCap;
     nr.starvation = ni.starvation.lifetime_rate();
     nr.starvation_network = ni.starvation_net.lifetime_rate();
     nr.mean_throttle_rate = ni.rate_integral / cycles_d;
@@ -755,11 +764,8 @@ SimResult Simulator::collect(Cycle measured_cycles) {
   result.avg_starvation = active ? starv_sum / active : 0.0;
   result.avg_starvation_network = active ? starv_net_sum / active : 0.0;
 
-  const std::uint64_t epochs = controller_->epochs_total() - epochs_at_measure_start_;
-  const std::uint64_t congested =
-      controller_->epochs_congested() - congested_epochs_at_measure_start_;
   result.congested_epoch_fraction =
-      epochs ? static_cast<double>(congested) / static_cast<double>(epochs) : 0.0;
+      epochs_ ? static_cast<double>(congested_epochs_) / static_cast<double>(epochs_) : 0.0;
   // Fold the per-tile histograms (bin counts and min/max are exactly
   // commutative, so the fold order is immaterial).
   for (const SimTile& t : tiles_) {
@@ -785,7 +791,7 @@ void Simulator::attach_telemetry(TelemetryHub* hub) {
   // written in the same cycle epoch_update() ran, so sigma/ipf below are the
   // inputs Algorithm 1 consumed and congested/throttle_rate its outputs.
   hub_->add_gauge("cc.congested",
-                  [this] { return controller_->last_congested() ? 1.0 : 0.0; });
+                  [this] { return congested_ ? 1.0 : 0.0; });
   hub_->add_text("cc.throttled_nodes", [this] {
     std::string out;
     for (std::size_t i = 0; i < staged_rates_.size(); ++i) {

@@ -12,8 +12,8 @@
 //   3. the fabric routes and moves flits; ejections flow through packet
 //      reassembly into the L2 slices (requests) and cores (responses);
 //   4. cores retire and issue; L1 misses enqueue new request packets;
-//   5. at epoch boundaries the congestion controller updates throttle
-//      rates from (IPF, sigma) telemetry.
+//   5. at epoch boundaries the central controller updates throttle rates
+//      from (IPF, sigma) telemetry, or the fixed-rate modes re-apply theirs.
 // Steps 1-4 run per tile of a ShardPlan (config.shards row strips; one
 // tile by default), the tiles of a step in parallel; step 5 and the fabric's
 // replay run serially. Results are identical for every tile count.
@@ -97,16 +97,8 @@ class Simulator {
   [[nodiscard]] const Fabric& fabric() const { return *fabric_; }
   [[nodiscard]] const Topology& topology() const { return *topo_; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
-  [[nodiscard]] const CongestionController* controller() const { return controller_.get(); }
   [[nodiscard]] const Core* core(NodeId n) const { return cores_[n].get(); }
   [[nodiscard]] double throttle_rate(NodeId n) const { return nis_[n].throttler.rate(); }
-  [[nodiscard]] double starvation_window_rate(NodeId n) const {
-    // An idle NI may be behind on its monitors (see sync_ni); replay the
-    // skipped cycles before reading. Logically const: the replayed state is
-    // exactly what eager per-cycle recording would have produced.
-    const_cast<Simulator*>(this)->sync_ni(n, now_);
-    return nis_[n].starvation.windowed_rate();
-  }
 
  private:
   struct Ni {
@@ -115,8 +107,8 @@ class Simulator {
     FlitRing response_q;  ///< responses + control traffic; never throttled
     ReassemblyTable reassembly;
     InjectionThrottler throttler;
-    StarvationMonitor starvation{128};      ///< Algorithm 2 sigma (gate blocks count)
-    StarvationMonitor starvation_net{128};  ///< network-admission blocks only
+    StarvationMonitor starvation;      ///< Algorithm 2 sigma (gate blocks count)
+    StarvationMonitor starvation_net;  ///< network-admission blocks only
     PacketSeq next_seq = 0;
     bool response_turn = true;        ///< fair alternation between the queues
     int mid_packet = 0;               ///< 0 none, 1 response, 2 request in flight
@@ -195,8 +187,15 @@ class Simulator {
   std::unique_ptr<Topology> topo_ NOCSIM_SHARED_READONLY;
   std::unique_ptr<Fabric> fabric_ NOCSIM_SHARED_READONLY;
   std::unique_ptr<L2Mapper> mapper_ NOCSIM_SHARED_READONLY;
-  std::unique_ptr<CongestionController> controller_ NOCSIM_SHARED_READONLY;
+  /// Congestion control: Algorithm 1 under CcMode::Central, the §6.6
+  /// coordinator under CcMode::Distributed; every other mode applies
+  /// fixed_rates_ (all zero under CcMode::None) at each epoch boundary.
+  std::optional<CentralController> central_ NOCSIM_SHARED_READONLY;
   std::optional<DistributedCoordinator> distributed_ NOCSIM_SHARED_READONLY;
+  std::vector<double> fixed_rates_ NOCSIM_SHARED_READONLY;
+  /// The node that hosts the central controller: the other end of every
+  /// modelled control packet (config.model_control_traffic).
+  static constexpr NodeId kControllerNode = 0;
 
   /// Cores attached to this router's NI (topology concentration; 1
   /// everywhere except cmesh). Core id c maps to router c / conc_.
@@ -246,8 +245,12 @@ class Simulator {
   std::uint64_t epoch_min_hops_at_last_ NOCSIM_SHARED_READONLY = 0;
   bool measuring_ NOCSIM_SHARED_READONLY = false;
   Cycle measure_start_ NOCSIM_SHARED_READONLY = 0;
-  std::uint64_t epochs_at_measure_start_ NOCSIM_SHARED_READONLY = 0;
-  std::uint64_t congested_epochs_at_measure_start_ NOCSIM_SHARED_READONLY = 0;
+  /// Epoch decisions (central and fixed-rate modes; the distributed variant
+  /// has no epochs): the last verdict, and counts over the measurement
+  /// window (reset by begin_measurement).
+  bool congested_ NOCSIM_SHARED_READONLY = false;
+  std::uint64_t epochs_ NOCSIM_SHARED_READONLY = 0;
+  std::uint64_t congested_epochs_ NOCSIM_SHARED_READONLY = 0;
 
   /// [node][epoch] when recorded
   std::vector<std::vector<double>> epoch_ipf_ NOCSIM_SHARED_READONLY;
@@ -266,7 +269,6 @@ class Simulator {
   };
   ProfPhases phase_ NOCSIM_SHARED_READONLY;
   EventLog* events_ NOCSIM_SHARED_READONLY = nullptr;
-  const CentralController* central_ NOCSIM_SHARED_READONLY = nullptr;
   std::vector<double> event_rates_ NOCSIM_SHARED_READONLY;   ///< last decided rates
   std::vector<std::uint8_t> starve_flag_ NOCSIM_SHARED_READONLY;  ///< in a starve episode
   bool event_congested_ NOCSIM_SHARED_READONLY = false;

@@ -1,13 +1,15 @@
 #include "sim/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
+#include <thread>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/event_log.hpp"
 #include "telemetry/flit_trace.hpp"
@@ -67,11 +69,9 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-RunRecord make_record(std::size_t index, const std::string& label, const SimConfig& config,
-                      const WorkloadSpec& workload, const SimResult& result,
-                      double wall_seconds) {
+RunRecord make_record(const std::string& label, const SimConfig& config,
+                      const WorkloadSpec& workload, const SimResult& result) {
   RunRecord rec;
-  rec.index = index;
   rec.label = label;
   rec.config_hash = config_hash(config, workload);
   rec.seed = config.seed;
@@ -81,7 +81,6 @@ RunRecord make_record(std::size_t index, const std::string& label, const SimConf
   rec.utilization = result.utilization;
   rec.deflection_rate = result.avg_deflections;
   rec.starvation_rate = result.avg_starvation;
-  rec.wall_seconds = wall_seconds;
   return rec;
 }
 
@@ -97,7 +96,9 @@ std::uint64_t config_hash(const SimConfig& c, const WorkloadSpec& workload) {
   FieldHasher h;
   h.mix(c.width);
   h.mix(c.height);
+  h.mix(c.depth);
   h.mix(c.topology);
+  h.mix(c.topology_file);
   h.mix(static_cast<int>(c.router));
   h.mix(c.adaptive_routing);
   h.mix(c.router_latency);
@@ -123,7 +124,6 @@ std::uint64_t config_hash(const SimConfig& c, const WorkloadSpec& workload) {
   h.mix(c.cc_params.beta_throt);
   h.mix(c.cc_params.gamma_throt);
   h.mix(c.cc_params.epoch);
-  h.mix(c.cc_params.starvation_window);
   h.mix(c.cc_params.escalation);
   h.mix(c.cc_params.escalation_inflation_threshold);
   h.mix(c.cc_params.escalation_step);
@@ -133,12 +133,10 @@ std::uint64_t config_hash(const SimConfig& c, const WorkloadSpec& workload) {
   h.mix(c.dist_params.hold_cycles);
   h.mix(c.dist_params.mark_update_period);
   h.mix(c.static_rate);
-  h.mix(c.static_throttles_responses);
   h.mix(static_cast<std::uint64_t>(c.selective_rates.size()));
   for (const double r : c.selective_rates) h.mix(r);
   h.mix(c.randomized_throttle_gate);
   h.mix(c.model_control_traffic);
-  h.mix(c.controller_node);
   h.mix(c.seed);
   h.mix(c.prewarm_instructions);
   h.mix(c.warmup_cycles);
@@ -225,102 +223,106 @@ bool RunLog::write_files(const std::string& stem) const {
 
 std::vector<SimResult> SweepRunner::run(const std::vector<SweepPoint>& points) {
   std::vector<SimResult> results(points.size());
-  if (points.empty()) return results;
-  const int jobs =
-      std::max(1, std::min(options_.jobs, static_cast<int>(points.size())));
-  ThreadPool pool(jobs);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    pool.submit([this, i, &points, &results] {
-      const SweepPoint& point = points[i];
-      SimConfig config = point.config;
-      if (options_.derive_seeds) {
-        config.seed = derive_seed(config.seed, point.seed_stream.value_or(i));
-      }
-      // nocsim-lint: allow(wallclock, raw-timing): host wall time feeds the run record only, never sim state.
-      const auto start = std::chrono::steady_clock::now();
-      Simulator sim(config, point.workload);
+  run_indexed(points.size(), [this, &points, &results](std::size_t i) {
+    const SweepPoint& point = points[i];
+    SimConfig config = point.config;
+    if (options_.derive_seeds) {
+      config.seed = derive_seed(config.seed, point.seed_stream.value_or(i));
+    }
+    Simulator sim(config, point.workload);
 
-      // Telemetry: a caller-owned hub wins; otherwise a stem makes the
-      // runner own one per run and write its files below. Hub, tracer,
-      // profiler, and event log are all private to this run, so records
-      // stay schedule-free.
-      const bool own_files = !options_.telemetry_stem.empty();
-      TelemetryHub* hub = point.hub;
-      std::optional<TelemetryHub> owned_hub;
-      if (hub == nullptr && own_files) {
-        owned_hub.emplace(TelemetryHub::Options{options_.telemetry_period});
-        hub = &*owned_hub;
-      }
-      if (hub != nullptr) sim.attach_telemetry(hub);
-      std::optional<ChromeTracer> tracer;
-      if (options_.trace_flits > 0) {
-        ChromeTracer::Options topts;
-        topts.sample_every = options_.trace_flits;
-        tracer.emplace(topts);
-        sim.attach_tracer(&*tracer);
-      }
-      std::optional<PhaseProfiler> profiler;
-      if (options_.profile && own_files) {
-        profiler.emplace();
-        sim.attach_profiler(&*profiler);
-      }
-      std::optional<EventLog> events;
-      if (options_.events && own_files) {
-        events.emplace();
-        sim.attach_events(&*events);
-      }
+    // Telemetry: a caller-owned hub wins; otherwise a stem makes the
+    // runner own one per run and write its files below. Hub, tracer,
+    // profiler, and event log are all private to this run, so records
+    // stay schedule-free.
+    const bool own_files = !options_.telemetry_stem.empty();
+    TelemetryHub* hub = point.hub;
+    std::optional<TelemetryHub> owned_hub;
+    if (hub == nullptr && own_files) {
+      owned_hub.emplace(TelemetryHub::Options{options_.telemetry_period});
+      hub = &*owned_hub;
+    }
+    if (hub != nullptr) sim.attach_telemetry(hub);
+    std::optional<ChromeTracer> tracer;
+    if (options_.trace_flits > 0) {
+      ChromeTracer::Options topts;
+      topts.sample_every = options_.trace_flits;
+      tracer.emplace(topts);
+      sim.attach_tracer(&*tracer);
+    }
+    std::optional<PhaseProfiler> profiler;
+    if (options_.profile && own_files) {
+      profiler.emplace();
+      sim.attach_profiler(&*profiler);
+    }
+    std::optional<EventLog> events;
+    if (options_.events && own_files) {
+      events.emplace();
+      sim.attach_events(&*events);
+    }
 
-      results[i] = sim.run();
+    results[i] = sim.run();
 
-      if (own_files) {
-        const std::string base = options_.telemetry_stem + ".run" + std::to_string(i);
-        if (owned_hub && !owned_hub->write_csv_file(base + ".timeseries.csv")) {
-          std::fprintf(stderr, "nocsim: cannot write %s.timeseries.csv\n", base.c_str());
-        }
-        // Profiler/event tracks merge into the flit trace when both exist,
-        // so one Perfetto load shows flit motion, phase timing, and
-        // provenance instants on a shared timeline.
-        if (tracer && !tracer->write_json_file(base + ".trace.json",
-                                               profiler ? &*profiler : nullptr,
-                                               events ? &*events : nullptr)) {
-          std::fprintf(stderr, "nocsim: cannot write %s.trace.json\n", base.c_str());
-        }
-        if (profiler && !profiler->write_json_file(base + ".profile.json")) {
-          std::fprintf(stderr, "nocsim: cannot write %s.profile.json\n", base.c_str());
-        }
-        if (events && !events->write_csv_file(base + ".events.csv")) {
-          std::fprintf(stderr, "nocsim: cannot write %s.events.csv\n", base.c_str());
-        }
+    if (own_files) {
+      const std::string base = options_.telemetry_stem + ".run" + std::to_string(i);
+      if (owned_hub && !owned_hub->write_csv_file(base + ".timeseries.csv")) {
+        std::fprintf(stderr, "nocsim: cannot write %s.timeseries.csv\n", base.c_str());
       }
-      // nocsim-lint: allow(wallclock, raw-timing): wall_seconds is a reporting field, not sim state.
-      const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
-      if (options_.log) {
-        options_.log->add(
-            make_record(i, point.label, config, point.workload, results[i], wall.count()));
+      // Profiler/event tracks merge into the flit trace when both exist,
+      // so one Perfetto load shows flit motion, phase timing, and
+      // provenance instants on a shared timeline.
+      if (tracer && !tracer->write_json_file(base + ".trace.json",
+                                             profiler ? &*profiler : nullptr,
+                                             events ? &*events : nullptr)) {
+        std::fprintf(stderr, "nocsim: cannot write %s.trace.json\n", base.c_str());
       }
-    });
-  }
-  pool.wait_idle();
+      if (profiler && !profiler->write_json_file(base + ".profile.json")) {
+        std::fprintf(stderr, "nocsim: cannot write %s.profile.json\n", base.c_str());
+      }
+      if (events && !events->write_csv_file(base + ".events.csv")) {
+        std::fprintf(stderr, "nocsim: cannot write %s.events.csv\n", base.c_str());
+      }
+    }
+    return make_record(point.label, config, point.workload, results[i]);
+  });
   return results;
 }
 
 void SweepRunner::run_indexed(std::size_t n, const std::function<RunRecord(std::size_t)>& fn) {
-  if (n == 0) return;
-  const int jobs = std::max(1, std::min(options_.jobs, static_cast<int>(n)));
-  ThreadPool pool(jobs);
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([this, i, &fn] {
-      // nocsim-lint: allow(wallclock, raw-timing): host wall time feeds the run record only, never sim state.
-      const auto start = std::chrono::steady_clock::now();
-      RunRecord rec = fn(i);
-      // nocsim-lint: allow(wallclock, raw-timing): wall_seconds is a reporting field, not sim state.
-      const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
-      rec.index = i;
-      rec.wall_seconds = wall.count();
-      if (options_.log) options_.log->add(std::move(rec));
-    });
+  // min(jobs, n) workers, the calling thread included, pull indices from one
+  // shared counter. Each fn(i) writes only its own slots and the log sorts
+  // by index, so nothing depends on the schedule.
+  const std::size_t workers = std::clamp<std::size_t>(
+      n, 1, static_cast<std::size_t>(std::max(1, options_.jobs)));
+  std::atomic<std::size_t> next{0};
+  // A worker's exception lands in its own slot and stops the handing out of
+  // indices; the first one is rethrown here once every worker has joined.
+  std::vector<std::exception_ptr> errors(workers);
+  const auto worker = [this, n, &fn, &next, &errors](std::size_t w) {
+    try {
+      for (std::size_t i = next++; i < n; i = next++) {
+        // nocsim-lint: allow(wallclock, raw-timing): host wall time feeds the run record only, never sim state.
+        const auto start = std::chrono::steady_clock::now();
+        RunRecord rec = fn(i);
+        // nocsim-lint: allow(wallclock, raw-timing): wall_seconds is a reporting field, not sim state.
+        const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
+        rec.index = i;
+        rec.wall_seconds = wall.count();
+        if (options_.log) options_.log->add(std::move(rec));
+      }
+    } catch (...) {
+      errors[w] = std::current_exception();
+      next = n;
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker, w);
+  worker(0);
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
-  pool.wait_idle();
 }
 
 }  // namespace nocsim

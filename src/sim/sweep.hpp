@@ -2,7 +2,7 @@
 //
 // Every bench driver reproduces a figure by running dozens of fully
 // independent (config, workload) simulation points. SweepRunner fans those
-// points out over a fixed-size thread pool: each point runs a private
+// points out over --jobs worker threads: each point runs a private
 // Simulator and writes into its own pre-allocated result slot, so there is
 // no shared mutable state between runs and the sweep's metrics are a pure
 // function of the point list — bit-identical for any --jobs value or thread
@@ -125,7 +125,7 @@ struct SweepOptions {
   bool events = false;
 };
 
-/// Runs a vector of sweep points on a fixed-size thread pool and collects
+/// Runs a vector of sweep points on options().jobs threads and collects
 /// results into index-ordered slots.
 class SweepRunner {
  public:
@@ -137,7 +137,7 @@ class SweepRunner {
   std::vector<SimResult> run(const std::vector<SweepPoint>& points);
 
   /// Escape hatch for sweeps that are not Simulator runs (the open-loop
-  /// network benches): runs fn(i) for i in [0, n) on the pool. fn returns
+  /// network benches): runs fn(i) for i in [0, n) on the workers. fn returns
   /// the point's RunRecord with its metric fields filled in; the runner
   /// fills index and wall_seconds and logs it. Results travel through
   /// caller-owned per-index slots, as with run().

@@ -74,7 +74,6 @@ class TelemetryHub {
   /// last sample — used at the warmup/measurement boundary.
   void clear_rows();
 
-  [[nodiscard]] std::size_t num_instruments() const { return instruments_.size(); }
   [[nodiscard]] std::size_t num_rows() const { return cycles_.size(); }
   [[nodiscard]] Cycle row_cycle(std::size_t r) const { return cycles_.at(r); }
 

@@ -1,12 +1,14 @@
 // Unit tests for the congestion-control primitives: the Algorithm 3 gate,
-// the starvation monitor and IPF tracker (Algorithm 2 / §4), and the
-// central controller (Algorithm 1, Eqs. 1-2).
+// the starvation monitor (Algorithm 2), the central controller (Algorithm 1,
+// Eqs. 1-2), the fixed-rate modes as the simulator applies them, and the
+// distributed variant.
 #include <gtest/gtest.h>
 
 #include "core/controller.hpp"
 #include "core/distributed.hpp"
 #include "core/monitor.hpp"
 #include "core/throttler.hpp"
+#include "sim/simulator.hpp"
 
 namespace nocsim {
 namespace {
@@ -162,15 +164,6 @@ TEST(StarvationMonitor, WindowedVsLifetime) {
   EXPECT_DOUBLE_EQ(m.windowed_rate(), 0.0);
 }
 
-TEST(IpfTracker, RatioAndCap) {
-  IpfTracker t;
-  t.add_instructions(1000);
-  t.add_flits(100);
-  EXPECT_DOUBLE_EQ(t.ipf(), 10.0);
-  EXPECT_DOUBLE_EQ(t.harvest(), 10.0);
-  EXPECT_DOUBLE_EQ(t.ipf(), IpfTracker::kMaxIpf);  // no flits after reset
-}
-
 // ------------------------------------------------------------------ params
 
 TEST(CcParams, Equation1Threshold) {
@@ -189,26 +182,29 @@ TEST(CcParams, Equation2Rate) {
 
 // --------------------------------------------------------------- controller
 
+/// One controller epoch; the verdict lands in `congested`.
 std::vector<double> run_epoch(CentralController& c, std::vector<NodeTelemetry> t,
-                              NetTelemetry net = {}) {
+                              bool& congested, NetTelemetry net = {}) {
   std::vector<double> rates(t.size(), -1.0);
-  c.on_epoch(0, t, net, rates);
+  congested = c.on_epoch(t, net, rates);
   return rates;
 }
 
 TEST(CentralController, NoCongestionMeansNoThrottling) {
   CentralController c((CcParams()));
-  const auto rates = run_epoch(c, {{1.0, 0.1}, {50.0, 0.0}});  // sigma below thresholds
+  bool congested = true;
+  const auto rates = run_epoch(c, {{1.0, 0.1}, {50.0, 0.0}}, congested);  // sigma below thresholds
   EXPECT_EQ(rates[0], 0.0);
   EXPECT_EQ(rates[1], 0.0);
-  EXPECT_FALSE(c.last_congested());
+  EXPECT_FALSE(congested);
 }
 
 TEST(CentralController, SingleCongestedNodeActivatesThrottling) {
   CentralController c((CcParams()));
+  bool congested = false;
   // Node 1 (IPF 50, threshold ~0.008) is starved -> system congested.
-  const auto rates = run_epoch(c, {{1.0, 0.1}, {50.0, 0.05}});
-  EXPECT_TRUE(c.last_congested());
+  const auto rates = run_epoch(c, {{1.0, 0.1}, {50.0, 0.05}}, congested);
+  EXPECT_TRUE(congested);
   // Node 0 has IPF below mean(25.5): throttled at Eq.2 = 0.75.
   EXPECT_DOUBLE_EQ(rates[0], 0.75);
   // Node 1 is above the mean: not throttled.
@@ -217,18 +213,20 @@ TEST(CentralController, SingleCongestedNodeActivatesThrottling) {
 
 TEST(CentralController, IntensiveNodesToleratedByEq1) {
   CentralController c((CcParams()));
+  bool congested = true;
   // IPF 1 node starved at 0.35 < its threshold 0.4: NOT congested.
-  const auto rates = run_epoch(c, {{1.0, 0.35}, {50.0, 0.0}});
-  EXPECT_FALSE(c.last_congested());
+  const auto rates = run_epoch(c, {{1.0, 0.35}, {50.0, 0.0}}, congested);
+  EXPECT_FALSE(congested);
   EXPECT_EQ(rates[0], 0.0);
 }
 
 TEST(CentralController, ZeroTrafficNodesExcludedFromMean) {
   CentralController c((CcParams()));
+  bool congested = false;
   // Two idle nodes report the cap; the real mean is (1+19)/2 = 10.
   const auto rates = run_epoch(
-      c, {{1.0, 0.5}, {19.0, 0.1}, {kIpfCap, 0.0}, {kIpfCap, 0.0}});
-  EXPECT_TRUE(c.last_congested());
+      c, {{1.0, 0.5}, {19.0, 0.1}, {kIpfCap, 0.0}, {kIpfCap, 0.0}}, congested);
+  EXPECT_TRUE(congested);
   EXPECT_DOUBLE_EQ(c.last_mean_ipf(), 10.0);
   EXPECT_GT(rates[0], 0.0);   // below mean -> throttled
   EXPECT_EQ(rates[1], 0.0);   // above mean -> free
@@ -237,39 +235,64 @@ TEST(CentralController, ZeroTrafficNodesExcludedFromMean) {
 
 TEST(CentralController, AllIdleNeverThrottles) {
   CentralController c((CcParams()));
-  const auto rates = run_epoch(c, {{kIpfCap, 0.0}, {kIpfCap, 0.0}});
+  bool congested = true;
+  const auto rates = run_epoch(c, {{kIpfCap, 0.0}, {kIpfCap, 0.0}}, congested);
+  EXPECT_FALSE(congested);
   EXPECT_EQ(rates[0], 0.0);
   EXPECT_EQ(rates[1], 0.0);
 }
 
 TEST(CentralController, EpochCountersTrackCongestion) {
+  // Each epoch's verdict stands alone: the simulator counts them.
   CentralController c((CcParams()));
-  std::vector<NodeTelemetry> congested = {{1.0, 0.6}};
-  std::vector<NodeTelemetry> calm = {{1.0, 0.0}};
+  const std::vector<NodeTelemetry> congested = {{1.0, 0.6}};
+  const std::vector<NodeTelemetry> calm = {{1.0, 0.0}};
   std::vector<double> rates(1);
-  c.on_epoch(0, congested, {}, rates);
-  c.on_epoch(1, calm, {}, rates);
-  c.on_epoch(2, congested, {}, rates);
-  EXPECT_EQ(c.epochs_total(), 3u);
-  EXPECT_EQ(c.epochs_congested(), 2u);
+  EXPECT_TRUE(c.on_epoch(congested, {}, rates));
+  EXPECT_FALSE(c.on_epoch(calm, {}, rates));
+  EXPECT_TRUE(c.on_epoch(congested, {}, rates));
 }
 
-TEST(StaticController, UniformRate) {
-  StaticController c(0.4);
-  std::vector<NodeTelemetry> t(3);
-  std::vector<double> rates(3, -1.0);
-  c.on_epoch(0, t, {}, rates);
-  for (const double r : rates) EXPECT_DOUBLE_EQ(r, 0.4);
+// ------------------------------------------------------------- fixed rates
+
+/// A 2x2 mesh of heavy applications, one epoch of 100 cycles.
+Simulator fixed_rate_sim(CcMode mode, double static_rate, std::vector<double> selective) {
+  SimConfig c;
+  c.width = c.height = 2;
+  c.cc = mode;
+  c.static_rate = static_rate;
+  c.selective_rates = std::move(selective);
+  c.cc_params.epoch = 100;
+  c.prewarm_instructions = 0;
+  WorkloadSpec wl;
+  wl.app_names.assign(4, "mcf");
+  return Simulator(c, wl);
+}
+
+TEST(StaticThrottling, UniformRate) {
+  Simulator sim = fixed_rate_sim(CcMode::Static, 0.4, {});
+  sim.run_cycles(99);
+  for (NodeId n = 0; n < 4; ++n) EXPECT_EQ(sim.throttle_rate(n), 0.0) << "before the first epoch";
+  sim.run_cycles(1);
+  for (NodeId n = 0; n < 4; ++n) EXPECT_DOUBLE_EQ(sim.throttle_rate(n), 0.4);
 }
 
 TEST(SelectiveController, PerNodeRates) {
-  SelectiveStaticController c({0.9, 0.0, 0.3});
-  std::vector<NodeTelemetry> t(3);
-  std::vector<double> rates(3, -1.0);
-  c.on_epoch(0, t, {}, rates);
-  EXPECT_DOUBLE_EQ(rates[0], 0.9);
-  EXPECT_DOUBLE_EQ(rates[1], 0.0);
-  EXPECT_DOUBLE_EQ(rates[2], 0.3);
+  Simulator sim = fixed_rate_sim(CcMode::Selective, 0.0, {0.9, 0.0, 0.3, 0.0});
+  sim.run_cycles(100);
+  EXPECT_DOUBLE_EQ(sim.throttle_rate(0), 0.9);
+  EXPECT_DOUBLE_EQ(sim.throttle_rate(1), 0.0);
+  EXPECT_DOUBLE_EQ(sim.throttle_rate(2), 0.3);
+  EXPECT_DOUBLE_EQ(sim.throttle_rate(3), 0.0);
+}
+
+TEST(StaticThrottling, RejectsRatesOutsideUnitInterval) {
+  EXPECT_DEATH(fixed_rate_sim(CcMode::Static, 1.0, {}), "static rate");
+  EXPECT_DEATH(fixed_rate_sim(CcMode::Static, -0.1, {}), "static rate");
+}
+
+TEST(SelectiveController, RejectsRateVectorOfWrongLength) {
+  EXPECT_DEATH(fixed_rate_sim(CcMode::Selective, 0.0, {0.9, 0.0, 0.3}), "one rate per node");
 }
 
 // --------------------------------------------------------------- escalation
@@ -280,10 +303,10 @@ TEST(CentralController, EscalationRaisesRatesUnderHopInflation) {
   CentralController c(p);
   const std::vector<NodeTelemetry> congested = {{1.0, 0.6}, {50.0, 0.0}};
   std::vector<double> rates(2);
-  c.on_epoch(0, congested, NetTelemetry{8.0}, rates);  // orbiting network
+  c.on_epoch(congested, NetTelemetry{8.0}, rates);  // orbiting network
   EXPECT_GT(c.escalation(), 1.0);
-  c.on_epoch(1, congested, NetTelemetry{8.0}, rates);
-  c.on_epoch(2, congested, NetTelemetry{8.0}, rates);
+  c.on_epoch(congested, NetTelemetry{8.0}, rates);
+  c.on_epoch(congested, NetTelemetry{8.0}, rates);
   EXPECT_GT(rates[0], p.gamma_throt) << "escalation should exceed the gamma ceiling";
   EXPECT_LE(rates[0], p.rate_ceiling);
   EXPECT_EQ(rates[1], 0.0) << "above-mean node stays free regardless";
@@ -294,10 +317,10 @@ TEST(CentralController, EscalationDecaysWhenInflationClears) {
   CentralController c(p);
   const std::vector<NodeTelemetry> congested = {{1.0, 0.6}, {50.0, 0.0}};
   std::vector<double> rates(2);
-  for (int e = 0; e < 5; ++e) c.on_epoch(e, congested, NetTelemetry{8.0}, rates);
+  for (int e = 0; e < 5; ++e) c.on_epoch(congested, NetTelemetry{8.0}, rates);
   const double peak = c.escalation();
   ASSERT_GT(peak, 1.0);
-  for (int e = 5; e < 40; ++e) c.on_epoch(e, congested, NetTelemetry{1.5}, rates);
+  for (int e = 5; e < 40; ++e) c.on_epoch(congested, NetTelemetry{1.5}, rates);
   EXPECT_DOUBLE_EQ(c.escalation(), 1.0);
   EXPECT_DOUBLE_EQ(rates[0], p.gamma_throt);  // back to Eq. 2 verbatim
 }
@@ -308,7 +331,7 @@ TEST(CentralController, EscalationDisabledIsPaperVerbatim) {
   CentralController c(p);
   const std::vector<NodeTelemetry> congested = {{1.0, 0.6}, {50.0, 0.0}};
   std::vector<double> rates(2);
-  for (int e = 0; e < 10; ++e) c.on_epoch(e, congested, NetTelemetry{10.0}, rates);
+  for (int e = 0; e < 10; ++e) c.on_epoch(congested, NetTelemetry{10.0}, rates);
   EXPECT_DOUBLE_EQ(c.escalation(), 1.0);
   EXPECT_DOUBLE_EQ(rates[0], 0.75);
 }
@@ -319,7 +342,7 @@ TEST(CentralController, EscalationNeverExceedsRateCeiling) {
   const std::vector<NodeTelemetry> congested = {{0.4, 0.7}, {50.0, 0.0}};
   std::vector<double> rates(2);
   for (int e = 0; e < 50; ++e) {
-    c.on_epoch(e, congested, NetTelemetry{20.0}, rates);
+    c.on_epoch(congested, NetTelemetry{20.0}, rates);
     ASSERT_LE(rates[0], p.rate_ceiling);
   }
 }

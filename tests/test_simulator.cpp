@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "sim/experiment.hpp"
+#include "sim/sweep.hpp"
 
 namespace nocsim {
 namespace {
@@ -326,6 +327,8 @@ TEST(Simulator, WeightedSpeedupBounds) {
   const auto wl = make_checkerboard_workload("mcf", "gromacs", 4, 4);
   SimConfig c = small_config();
   AloneIpcCache alone(c);
+  SweepRunner runner;
+  alone.prime({wl}, runner);
   const std::vector<double> alone_ipc = alone.get(wl);
   const SimResult shared = run_workload(c, wl);
   const double ws = weighted_speedup(shared, alone_ipc);

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -111,6 +113,19 @@ TEST(ConfigHash, SensitiveToConfigAndWorkload) {
   c = base;
   c.cc_params.alpha_throt += 0.1;
   EXPECT_NE(config_hash(c, wl), h);
+  // Shape fields that the width x height pair does not pin down: the z
+  // extent of the 3D families and the graph file of an irregular topology.
+  c = base;
+  c.topology = "mesh3d";
+  const std::uint64_t h3 = config_hash(c, wl);
+  c.depth = 2;
+  EXPECT_NE(config_hash(c, wl), h3);
+  c = base;
+  c.topology = "irregular";
+  c.topology_file = "a.topo";
+  const std::uint64_t ha = config_hash(c, wl);
+  c.topology_file = "b.topo";
+  EXPECT_NE(config_hash(c, wl), ha);
 
   WorkloadSpec wl2 = wl;
   wl2.app_names[5] = wl2.app_names[4];
@@ -267,6 +282,24 @@ TEST(SweepRunner, RunIndexedFillsSlotsAndLogs) {
     EXPECT_EQ(recs[i].index, i);
     EXPECT_EQ(recs[i].label, "pt" + std::to_string(i));
     EXPECT_EQ(recs[i].system_throughput, static_cast<double>(i));
+  }
+}
+
+TEST(SweepRunner, RunIndexedRethrowsAfterJoiningWorkers) {
+  for (const int jobs : {1, 4}) {
+    SweepRunner runner(sweep_opts(jobs, true, nullptr));
+    std::atomic<int> finished{0};
+    EXPECT_THROW(runner.run_indexed(40,
+                                    [&](std::size_t i) {
+                                      if (i == 7) throw std::runtime_error("point 7");
+                                      ++finished;
+                                      return RunRecord{};
+                                    }),
+                 std::runtime_error);
+    // One worker hands out no index after the throw.
+    if (jobs == 1) {
+      EXPECT_EQ(finished.load(), 7);
+    }
   }
 }
 
