@@ -8,9 +8,12 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 #include "common/csv.hpp"
 #include "common/flags.hpp"
@@ -19,13 +22,20 @@
 
 namespace nocsim::bench {
 
-/// Parse the value of `--trace-flits[=N]`: the flag parser stores a bare
-/// `--trace-flits` as "true" (trace every packet); "0"/"false"/"" disable;
-/// anything else is the packet sampling divisor N.
-inline std::uint32_t parse_trace_every(const std::string& v) {
+/// Read `--trace-flits[=N]`: the flag parser stores a bare `--trace-flits`
+/// as "true" (trace every packet); "0"/"false"/"" disable; anything else
+/// must be the packet sampling divisor N, else a bad value (exit 2).
+inline std::uint32_t get_trace_every(Flags& flags) {
+  const std::string v = flags.get_string(
+      "trace-flits", "0",
+      "trace 1-in-N packets to <stem>.run<i>.trace.json (bare flag: every packet)");
   if (v == "true") return 1;
-  if (v.empty() || v == "0" || v == "false") return 0;
-  return static_cast<std::uint32_t>(std::stoul(v));
+  if (v.empty() || v == "false") return 0;
+  std::uint32_t n = 0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, n);
+  if (ec != std::errc{} || ptr != end) flags.bad_value("trace-flits", v);
+  return n;
 }
 
 /// Per-bench sweep plumbing: registers the standard --jobs, --run-log,
@@ -53,9 +63,7 @@ class SweepContext {
         "timeseries", false, "write per-run telemetry to <stem>.run<i>.timeseries.csv");
     options.telemetry_period = flags.get_cycles(
         "timeseries-period", 0, 0, "telemetry sample period, cycles (0 = controller epoch)");
-    options.trace_flits = parse_trace_every(flags.get_string(
-        "trace-flits", "0",
-        "trace 1-in-N packets to <stem>.run<i>.trace.json (bare flag: every packet)"));
+    options.trace_flits = get_trace_every(flags);
     options.profile = flags.get_bool(
         "profile", false, "write per-run phase profiles to <stem>.run<i>.profile.json");
     options.events = flags.get_bool(

@@ -43,12 +43,12 @@ bool CentralController::on_epoch(std::span<const NodeTelemetry> telemetry,
   // pathological hop inflation despite throttling, raise the pressure; relax
   // once the deflection orbits collapse.
   if (params_.escalation) {
-    if (congested && net.hop_inflation > params_.escalation_inflation_threshold) {
-      // Bounded multiplier: the per-node rate is clamped to rate_ceiling
+    if (congested && net.hop_inflation > kEscalationInflationThreshold) {
+      // Bounded multiplier: the per-node rate is clamped to kRateCeiling
       // below anyway; 4x merely bounds the state variable.
-      escalation_ = std::min(escalation_ * params_.escalation_step, 4.0);
+      escalation_ = std::min(escalation_ * kEscalationStep, 4.0);
     } else {
-      escalation_ = std::max(1.0, escalation_ * params_.escalation_decay);
+      escalation_ = std::max(1.0, escalation_ * kEscalationDecay);
     }
   } else {
     escalation_ = 1.0;
@@ -57,7 +57,7 @@ bool CentralController::on_epoch(std::span<const NodeTelemetry> telemetry,
   for (std::size_t i = 0; i < n; ++i) {
     if (congested && telemetry[i].ipf < mean_ipf) {
       rates[i] = std::min(params_.throttle_rate(telemetry[i].ipf) * escalation_,
-                          params_.rate_ceiling);  // Eq. 2 (escalated)
+                          kRateCeiling);  // Eq. 2 (escalated)
     } else {
       rates[i] = 0.0;
     }

@@ -33,22 +33,8 @@ struct CcParams {
   double gamma_throt = 0.75;   ///< throttle-rate upper bound
   Cycle epoch = 100'000;       ///< controller period T
 
-  // ---- escalation extension (ours; not in the paper) ----------------------
-  // Under convergent local traffic at large scale, the deflection-orbit
-  // equilibrium can be stable under the fixed gamma_throt ceiling: flits
-  // travel many times their minimal distance, yet per-node request demand
-  // sits below the throttled capacity, so Eq. 2 alone cannot clear it. The
-  // controller therefore watches the network's *hop inflation* (traversed /
-  // minimal hops — computable centrally from flit headers) and temporarily
-  // escalates throttling rates while inflation stays pathological,
-  // releasing once the orbits collapse. Small-network behaviour is
-  // unchanged (inflation there stays ~2, below the threshold). See
-  // DESIGN.md "Calibration" and bench/fig13_16_scaling for the ablation.
+  /// Escalation extension (ours; not in the paper; tunables below).
   bool escalation = true;
-  double escalation_inflation_threshold = 3.0;  ///< hop inflation that triggers it
-  double escalation_step = 1.2;    ///< multiplicative increase per epoch
-  double escalation_decay = 0.85;  ///< relaxation per calm epoch
-  double rate_ceiling = 0.95;      ///< absolute cap on any throttle rate
 
   /// Eq. 1: per-node congestion-detection threshold on sigma.
   [[nodiscard]] double starve_threshold(double ipf) const {
@@ -59,6 +45,22 @@ struct CcParams {
     return std::min(beta_throt + alpha_throt / ipf, gamma_throt);
   }
 };
+
+// ---- escalation extension (ours; not in the paper) ------------------------
+// Under convergent local traffic at large scale, the deflection-orbit
+// equilibrium can be stable under the fixed gamma_throt ceiling: flits
+// travel many times their minimal distance, yet per-node request demand
+// sits below the throttled capacity, so Eq. 2 alone cannot clear it. The
+// controller therefore watches the network's *hop inflation* (traversed /
+// minimal hops — computable centrally from flit headers) and temporarily
+// escalates throttling rates while inflation stays pathological, releasing
+// once the orbits collapse. Small-network behaviour is unchanged (inflation
+// there stays ~2, below the threshold). See DESIGN.md "Calibration" and
+// bench/fig13_16_scaling for the ablation (CcParams::escalation = false).
+inline constexpr double kEscalationInflationThreshold = 3.0;  ///< hop inflation that triggers it
+inline constexpr double kEscalationStep = 1.2;    ///< multiplicative increase per epoch
+inline constexpr double kEscalationDecay = 0.85;  ///< relaxation per calm epoch
+inline constexpr double kRateCeiling = 0.95;      ///< absolute cap on any throttle rate
 
 /// IPF reported by a node that injected no flits in an epoch (effectively
 /// infinitely CPU-bound for that period); also the distributed variant's

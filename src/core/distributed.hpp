@@ -23,33 +23,30 @@
 
 namespace nocsim {
 
-struct DistributedCcParams {
-  double mark_threshold = 0.30;  ///< sigma above which a node marks flits
-  Cycle hold_cycles = 50'000;    ///< how long one mark keeps a node throttled
-  Cycle mark_update_period = 128;///< how often marking state is re-evaluated
-};
+inline constexpr double kMarkThreshold = 0.30;  ///< sigma above which a node marks flits
+inline constexpr Cycle kMarkHoldCycles = 50'000;  ///< how long one mark keeps a node throttled
+inline constexpr Cycle kMarkUpdatePeriod = 128;   ///< how often marking state is re-evaluated
 
 /// Per-node distributed state machine; the simulator calls the hooks.
 class DistributedCoordinator {
  public:
-  DistributedCoordinator(int num_nodes, CcParams cc, DistributedCcParams dist)
+  DistributedCoordinator(int num_nodes, CcParams cc)
       : cc_(cc),
-        dist_(dist),
         until_(num_nodes, 0),
         ipf_(num_nodes, kIpfCap),  // unknown until the first local epoch
         marks_(static_cast<std::size_t>(num_nodes), 0) {}
 
   /// Re-evaluate whether node n should be marking flits (call every
-  /// mark_update_period cycles with the windowed sigma).
+  /// kMarkUpdatePeriod cycles with the windowed sigma).
   [[nodiscard]] bool should_mark(double windowed_sigma) const {
-    return windowed_sigma > dist_.mark_threshold;
+    return windowed_sigma > kMarkThreshold;
   }
 
   /// A packet with the congested bit set completed at node n. Touches only
   /// node n's state, so the tile that owns n may call it concurrently with
   /// other tiles.
   void on_marked_packet(NodeId n, Cycle now) {
-    until_[n] = now + dist_.hold_cycles;
+    until_[n] = now + kMarkHoldCycles;
     ++marks_[static_cast<std::size_t>(n)];
   }
 
@@ -68,11 +65,9 @@ class DistributedCoordinator {
     for (const std::uint64_t m : marks_) sum += m;
     return sum;
   }
-  [[nodiscard]] const DistributedCcParams& params() const { return dist_; }
 
  private:
   CcParams cc_;
-  DistributedCcParams dist_;
   std::vector<Cycle> until_;
   std::vector<double> ipf_;
   std::vector<std::uint64_t> marks_;  ///< marked packets received, per node

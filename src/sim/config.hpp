@@ -10,21 +10,43 @@
 //   L2 cache                  shared, distributed, perfect
 //   L2 address mapping        per-block interleaving, XOR mapping;
 //                             randomized exponential for locality studies
+//
+// The fixed system parameters are named constants, not SimConfig fields:
+// kRouterLatency / kLinkLatency, kRequestFlits / kResponseFlits,
+// kL2Latency and kPrewarmInstructions below; the core and L1 in the
+// CoreParams defaults (cpu/core.hpp); the escalation extension's tunables
+// (kEscalationInflationThreshold, kEscalationStep, kEscalationDecay,
+// kRateCeiling) in core/controller.hpp; the distributed variant's marking
+// constants (kMarkThreshold, kMarkHoldCycles, kMarkUpdatePeriod) in
+// core/distributed.hpp. SimConfig holds only what a driver varies.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/types.hpp"
 #include "core/controller.hpp"
-#include "core/distributed.hpp"
-#include "cpu/core.hpp"
 #include "topology/topology.hpp"
 
 namespace nocsim {
 
 enum class RouterKind : std::uint8_t { Bless, Buffered };
 enum class CcMode : std::uint8_t { None, Central, Distributed, Static, Selective };
+
+/// Router pipeline and link traversal, cycles (a hop costs their sum).
+inline constexpr int kRouterLatency = 2;
+inline constexpr int kLinkLatency = 1;
+/// Packetization: an L1 miss costs one request flit to the home slice and
+/// a data response of 1 header + 32 B block / 16 B flit payload = 3 flits
+/// (128-bit flits, the "typical" width of §2.1).
+inline constexpr int kRequestFlits = 1;
+inline constexpr int kResponseFlits = 3;
+/// Home-slice (shared L2 bank) service latency, cycles.
+inline constexpr Cycle kL2Latency = 12;
+/// Functional L1 warm-up per core before cycle 0 (no timing): removes the
+/// compulsory-miss transient from the measurement.
+inline constexpr std::uint64_t kPrewarmInstructions = 60'000;
 
 struct SimConfig {
   // Network.
@@ -38,18 +60,6 @@ struct SimConfig {
   RouterKind router = RouterKind::Bless;
   /// BLESS port preference (paper baseline: strict XY; see bench/abl_routing).
   bool adaptive_routing = false;
-  int router_latency = 2;
-  int link_latency = 1;
-
-  // Cores (Table 2).
-  CoreParams core;
-
-  // Packetization: an L1 miss costs one request flit to the home slice and
-  // a data response of 1 header + 32 B block / 16 B flit payload = 3 flits
-  // (128-bit flits, the "typical" width of §2.1).
-  int request_flits = 1;
-  int response_flits = 3;
-  Cycle l2_latency = 12;  ///< home-slice (shared L2 bank) service latency
 
   // L2 home mapping.
   std::string l2_map = "xor";  ///< stripe | xor | exponential
@@ -58,7 +68,6 @@ struct SimConfig {
   // Congestion control.
   CcMode cc = CcMode::None;
   CcParams cc_params;
-  DistributedCcParams dist_params;
   /// CcMode::Static, in [0, 1). Fig. 2(c) semantics: the strawman gates
   /// *every* injection ("all routers that desire to inject a flit are
   /// blocked"), responses included; every other mode gates requests only.
@@ -95,9 +104,6 @@ struct SimConfig {
   };
   WatchdogConfig watchdog;
 
-  /// Functional L1 warm-up per core before cycle 0 (no timing): removes the
-  /// compulsory-miss transient from the measurement.
-  std::uint64_t prewarm_instructions = 60'000;
   Cycle warmup_cycles = 20'000;
   Cycle measure_cycles = 200'000;
   /// Record per-epoch IPF samples (Table 1 variance measurement).

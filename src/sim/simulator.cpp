@@ -37,8 +37,6 @@ Simulator::Simulator(SimConfig config, WorkloadSpec workload)
   const int ncores = config_.num_cores();
   NOCSIM_CHECK_MSG(static_cast<int>(workload_.app_names.size()) == ncores,
                    "workload must name one app per core (\"\" for idle)");
-  NOCSIM_CHECK(config_.request_flits >= 1 && config_.response_flits >= 1);
-  NOCSIM_CHECK(config_.l2_latency >= 1);
 
   topo_ = make_topology(TopologySpec{config_.topology, config_.width, config_.height,
                                      config_.depth, config_.topology_file});
@@ -46,15 +44,13 @@ Simulator::Simulator(SimConfig config, WorkloadSpec workload)
   NOCSIM_CHECK(topo_->num_cores() == ncores);
   switch (config_.router) {
     case RouterKind::Bless:
-      fabric_ = std::make_unique<BlessFabric>(*topo_, config_.router_latency,
-                                              config_.link_latency,
+      fabric_ = std::make_unique<BlessFabric>(*topo_, kRouterLatency, kLinkLatency,
                                               config_.adaptive_routing
                                                   ? BlessRouting::MinimalAdaptive
                                                   : BlessRouting::StrictXY);
       break;
     case RouterKind::Buffered:
-      fabric_ = std::make_unique<BufferedFabric>(*topo_, config_.router_latency,
-                                                 config_.link_latency);
+      fabric_ = std::make_unique<BufferedFabric>(*topo_, kRouterLatency, kLinkLatency);
       break;
   }
   fabric_->set_eject_sink([this](NodeId at, const Flit& f) { on_flit_ejected(at, f); });
@@ -79,7 +75,7 @@ Simulator::Simulator(SimConfig config, WorkloadSpec workload)
       fixed_rates_ = config_.selective_rates;
       break;
     case CcMode::Distributed:
-      distributed_.emplace(n, config_.cc_params, config_.dist_params);
+      distributed_.emplace(n, config_.cc_params);
       fabric_->enable_marking();
       break;
   }
@@ -101,7 +97,7 @@ Simulator::Simulator(SimConfig config, WorkloadSpec workload)
     // A workload entry is either a catalog application name or
     // "file:<path>" — a trace in the FileTrace text format.
     std::unique_ptr<TraceSource> trace;
-    CoreParams core_params = config_.core;
+    CoreParams core_params;
     if (app.rfind("file:", 0) == 0) {
       trace = std::make_unique<FileTrace>(FileTrace::load(app.substr(5)));
     } else {
@@ -116,7 +112,7 @@ Simulator::Simulator(SimConfig config, WorkloadSpec workload)
     }
     cores_[i] = std::make_unique<Core>(i, core_params, std::move(trace),
                                        [this, i](Addr block) { on_miss(i, block); });
-    cores_[i]->prewarm(config_.prewarm_instructions);
+    cores_[i]->prewarm(kPrewarmInstructions);
   }
 
   NOCSIM_CHECK(plan_.nodes() == n);
@@ -124,7 +120,6 @@ Simulator::Simulator(SimConfig config, WorkloadSpec workload)
   fabric_->set_shard_plan(plan_);
   team_ = std::make_unique<ShardTeam>(plan_.tiles());
   tiles_.resize(static_cast<std::size_t>(plan_.tiles()));
-  for (SimTile& t : tiles_) t.l2_wheel.resize(config_.l2_latency + 1);
   ni_work_ = TileBits(plan_);
   core_work_ = TileBits(core_plan_);
   core_synced_.assign(static_cast<std::size_t>(ncores), 0);
@@ -210,7 +205,7 @@ void Simulator::on_miss(NodeId n, Addr block) {
   if (home == rtr) {
     // Local slice: no network traversal, just the L2 service latency.
     tiles_[static_cast<std::size_t>(plan_.tile_of(rtr))]
-        .l2_wheel[(now_ + config_.l2_latency) % (config_.l2_latency + 1)]
+        .l2_wheel[(now_ + kL2Latency) % (kL2Latency + 1)]
         .push_back(PendingL2{home, n, block});
     return;
   }
@@ -218,12 +213,11 @@ void Simulator::on_miss(NodeId n, Addr block) {
   // on_miss fires from the core step, after this cycle's injection loop: if
   // the NI was asleep, cycle now_ itself was still an idle (skipped) cycle.
   wake_ni(rtr, now_ + 1);
-  enqueue_packet(ni.request_q, rtr, home, PacketKind::Request, block, config_.request_flits,
+  enqueue_packet(ni.request_q, rtr, home, PacketKind::Request, block, kRequestFlits,
                  ni.next_seq++, /*origin=*/n);
   // IPF flit attribution (§4): requests the app injects + responses
   // generated on its behalf. Attributed at creation time.
-  const auto attributed =
-      static_cast<std::uint64_t>(config_.request_flits + config_.response_flits);
+  const auto attributed = static_cast<std::uint64_t>(kRequestFlits + kResponseFlits);
   ni.epoch_flits += attributed;
   if (measuring_) ni.measure_flits += attributed;
 }
@@ -262,7 +256,7 @@ void Simulator::on_packet(NodeId at, const Flit& header) {
       // Perfect shared L2: always hits; respond after the service latency.
       NOCSIM_DCHECK(header.dst == at);
       tiles_[static_cast<std::size_t>(plan_.tile_of(at))]
-          .l2_wheel[(now_ + config_.l2_latency) % (config_.l2_latency + 1)]
+          .l2_wheel[(now_ + kL2Latency) % (kL2Latency + 1)]
           .push_back(PendingL2{at, header.origin, header.addr});
       break;
     case PacketKind::Response: {
@@ -292,9 +286,9 @@ void Simulator::on_packet(NodeId at, const Flit& header) {
 
 void Simulator::deliver_l2(Cycle now, int tile) {
   NOCSIM_PHASE("begin");
-  // Pushes made this cycle target a different slot (l2_latency %
-  // (l2_latency + 1) != 0), so the due slot is stable while it drains.
-  auto& due = tiles_[static_cast<std::size_t>(tile)].l2_wheel[now % (config_.l2_latency + 1)];
+  // Pushes made this cycle target a different slot (kL2Latency %
+  // (kL2Latency + 1) != 0), so the due slot is stable while it drains.
+  auto& due = tiles_[static_cast<std::size_t>(tile)].l2_wheel[now % (kL2Latency + 1)];
   for (const PendingL2& p : due) {
     NOCSIM_SHARD_CHECK_WRITE(p.home, "l2 delivery (deliver_l2)");
     if (p.home == router_of(p.requester)) {
@@ -307,7 +301,7 @@ void Simulator::deliver_l2(Cycle now, int tile) {
     // be processed for now_ itself, so replay only the cycles before it.
     wake_ni(p.home, now);
     enqueue_packet(home_ni.response_q, p.home, router_of(p.requester), PacketKind::Response,
-                   p.block, config_.response_flits, home_ni.next_seq++,
+                   p.block, kResponseFlits, home_ni.next_seq++,
                    /*origin=*/p.requester);
   }
   due.clear();
@@ -639,27 +633,26 @@ void Simulator::step() {
     core_tile(t);
     prof_end(prof_, phase_.core, t, pt0);
   });
-  {
-    ProfScope ps(prof_, phase_.epilogue, 0);
-    fabric_->shard_finish(now_);
-    if ((now_ + 1) % config_.cc_params.epoch == 0) epoch_update();
-    if (config_.watchdog.enabled && (now_ + 1) % config_.watchdog.period == 0) watchdog_check();
-    // Sample after epoch_update so an epoch-cadence row carries the values
-    // the controller consumed (sigma, IPF) and produced (rates, congested
-    // flag) *this* cycle. Null hub = one pointer test per cycle.
-    const int n = config_.num_nodes();
-    if (hub_ != nullptr && (now_ + 1) % hub_period_ == 0) {
-      // Gauges read sigma windows and counters of every NI directly.
-      for (NodeId i = 0; i < n; ++i) sync_ni(i, now_ + 1);
-      hub_->sample(now_);
-    }
-    if (distributed_ && (now_ + 1) % config_.dist_params.mark_update_period == 0) {
-      for (NodeId i = 0; i < n; ++i) {
-        fabric_->set_marks_flits(i,
-                                 distributed_->should_mark(nis_[i].starvation.windowed_rate()));
-      }
+  const std::uint64_t pt0 = prof_begin(prof_);
+  fabric_->shard_finish(now_);
+  if ((now_ + 1) % config_.cc_params.epoch == 0) epoch_update();
+  if (config_.watchdog.enabled && (now_ + 1) % config_.watchdog.period == 0) watchdog_check();
+  // Sample after epoch_update so an epoch-cadence row carries the values
+  // the controller consumed (sigma, IPF) and produced (rates, congested
+  // flag) *this* cycle. Null hub = one pointer test per cycle.
+  const int n = config_.num_nodes();
+  if (hub_ != nullptr && (now_ + 1) % hub_period_ == 0) {
+    // Gauges read sigma windows and counters of every NI directly.
+    for (NodeId i = 0; i < n; ++i) sync_ni(i, now_ + 1);
+    hub_->sample(now_);
+  }
+  if (distributed_ && (now_ + 1) % kMarkUpdatePeriod == 0) {
+    for (NodeId i = 0; i < n; ++i) {
+      fabric_->set_marks_flits(i,
+                               distributed_->should_mark(nis_[i].starvation.windowed_rate()));
     }
   }
+  prof_end(prof_, phase_.epilogue, 0, pt0);
   if (prof_ != nullptr && (now_ + 1) % config_.cc_params.epoch == 0) prof_->tick(now_);
   ++now_;
 }

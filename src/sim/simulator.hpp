@@ -19,6 +19,7 @@
 // replay run serially. Results are identical for every tile count.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -226,12 +227,12 @@ class Simulator {
 
   /// Per-tile state of the cycle loop. The L2 service wheel holds the
   /// pending responses of the tile's own home slices (slot = cycle %
-  /// (l2_latency + 1)): every push and every delivery touches only the home
+  /// (kL2Latency + 1)): every push and every delivery touches only the home
   /// node's NI and cores, so per-home order — all that matters — is the
   /// one-tile order. Histogram adds are exactly commutative and are folded
   /// in collect().
   struct SimTile {
-    std::vector<std::vector<PendingL2>> l2_wheel;
+    std::array<std::vector<PendingL2>, kL2Latency + 1> l2_wheel;
     LatencyHistograms lat_all;
     std::array<LatencyHistograms, kNumIntensityClasses> lat_class;
   };

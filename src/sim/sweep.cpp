@@ -101,19 +101,6 @@ std::uint64_t config_hash(const SimConfig& c, const WorkloadSpec& workload) {
   h.mix(c.topology_file);
   h.mix(static_cast<int>(c.router));
   h.mix(c.adaptive_routing);
-  h.mix(c.router_latency);
-  h.mix(c.link_latency);
-  h.mix(c.core.window_size);
-  h.mix(c.core.issue_width);
-  h.mix(c.core.mem_issue_width);
-  h.mix(c.core.max_outstanding_misses);
-  h.mix(c.core.l1_hit_latency);
-  h.mix(static_cast<std::uint64_t>(c.core.l1_size_bytes));
-  h.mix(c.core.l1_ways);
-  h.mix(static_cast<std::uint64_t>(c.core.block_bytes));
-  h.mix(c.request_flits);
-  h.mix(c.response_flits);
-  h.mix(c.l2_latency);
   h.mix(c.l2_map);
   h.mix(c.locality_lambda);
   h.mix(static_cast<int>(c.cc));
@@ -125,20 +112,12 @@ std::uint64_t config_hash(const SimConfig& c, const WorkloadSpec& workload) {
   h.mix(c.cc_params.gamma_throt);
   h.mix(c.cc_params.epoch);
   h.mix(c.cc_params.escalation);
-  h.mix(c.cc_params.escalation_inflation_threshold);
-  h.mix(c.cc_params.escalation_step);
-  h.mix(c.cc_params.escalation_decay);
-  h.mix(c.cc_params.rate_ceiling);
-  h.mix(c.dist_params.mark_threshold);
-  h.mix(c.dist_params.hold_cycles);
-  h.mix(c.dist_params.mark_update_period);
   h.mix(c.static_rate);
   h.mix(static_cast<std::uint64_t>(c.selective_rates.size()));
   for (const double r : c.selective_rates) h.mix(r);
   h.mix(c.randomized_throttle_gate);
   h.mix(c.model_control_traffic);
   h.mix(c.seed);
-  h.mix(c.prewarm_instructions);
   h.mix(c.warmup_cycles);
   h.mix(c.measure_cycles);
   h.mix(c.record_epoch_ipf);

@@ -2,7 +2,8 @@
 
 // Sanctioned raw-timing implementation: the ONLY sim-state-adjacent code
 // allowed to read std::chrono directly (nocsim_lint `raw-timing` exempts
-// src/telemetry/profiler.*). Everything else routes through ProfScope.
+// src/telemetry/profiler.*). Everything else times through prof_begin /
+// prof_end.
 #include <chrono>
 #include <fstream>
 

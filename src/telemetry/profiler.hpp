@@ -1,15 +1,14 @@
 // PhaseProfiler: opt-in wall-clock self-profiler for the cycle loop.
 //
-// The simulator registers a small fixed set of phases ("deliver", "route",
-// ...) and brackets each phase body with an RAII ProfScope; the ShardTeam
+// The simulator registers a small fixed set of phases ("begin", "route",
+// ...) and brackets each phase body with prof_begin/prof_end; the ShardTeam
 // barriers report per-tile wait time through a ShardTeamProbe. The result
 // is a PhaseProfile — per phase x tile: {count, total/min/max ns, barrier
 // wait ns} — written as JSON next to bench output and mergeable into the
 // ChromeTracer trace as counter/slice tracks (pid 1, "nocsim host").
 //
-// Cost contract: a scope on the disabled path is one pointer test and no
-// allocation (tests/test_profiler.cpp guards this); defining
-// NOCSIM_PROFILER_DISABLED compiles scopes out entirely. Slots are
+// Cost contract: a timed phase on the disabled path is one pointer test and
+// no allocation (tests/test_profiler.cpp guards this). Slots are
 // preallocated at attach time and padded to a cache line so concurrent
 // tile writes never share a line.
 //
@@ -131,48 +130,16 @@ class PhaseProfiler {
   std::vector<std::uint64_t> last_wait_;
 };
 
-// RAII scoped timer. Disabled path (null profiler or enabled() == false):
-// one test in the constructor, one in the destructor, zero allocation.
-#if defined(NOCSIM_PROFILER_DISABLED)
-class ProfScope {
- public:
-  ProfScope(PhaseProfiler*, int, int) {}
-};
-#else
-class ProfScope {
- public:
-  ProfScope(PhaseProfiler* p, int phase, int tile)
-      : p_(p != nullptr && p->enabled() ? p : nullptr), phase_(phase), tile_(tile) {
-    if (p_ != nullptr) t0_ = PhaseProfiler::now_ns();
-  }
-  ~ProfScope() {
-    if (p_ != nullptr) p_->record(phase_, tile_, PhaseProfiler::now_ns() - t0_);
-  }
-  ProfScope(const ProfScope&) = delete;
-  ProfScope& operator=(const ProfScope&) = delete;
-
- private:
-  PhaseProfiler* p_;
-  int phase_;
-  int tile_;
-  std::uint64_t t0_ = 0;
-};
-#endif
-
-// Straight-line variant of ProfScope for the sharded tile lambdas: RAII
-// means a non-trivial destructor, which drags exception-cleanup paths into
-// the per-tile hot loops; an explicit begin/end pair keeps the disabled
-// path to a pointer test with no unwind machinery.
-#if defined(NOCSIM_PROFILER_DISABLED)
-inline std::uint64_t prof_begin(const PhaseProfiler* /*p*/) { return 0; }
-inline void prof_end(PhaseProfiler* /*p*/, int /*phase*/, int /*tile*/, std::uint64_t /*t0*/) {}
-#else
+// Phase timer: t0 = prof_begin(p); ...; prof_end(p, phase, tile, t0). A
+// straight-line pair rather than an RAII scope: a non-trivial destructor
+// drags exception-cleanup paths into the per-tile hot loops. The disabled
+// path (null profiler or enabled() == false) is one pointer test in each
+// call and no allocation.
 [[nodiscard]] inline std::uint64_t prof_begin(const PhaseProfiler* p) {
   return p != nullptr && p->enabled() ? PhaseProfiler::now_ns() : 0;
 }
 inline void prof_end(PhaseProfiler* p, int phase, int tile, std::uint64_t t0) {
   if (p != nullptr && p->enabled()) p->record(phase, tile, PhaseProfiler::now_ns() - t0);
 }
-#endif
 
 }  // namespace nocsim

@@ -263,7 +263,6 @@ Simulator fixed_rate_sim(CcMode mode, double static_rate, std::vector<double> se
   c.static_rate = static_rate;
   c.selective_rates = std::move(selective);
   c.cc_params.epoch = 100;
-  c.prewarm_instructions = 0;
   WorkloadSpec wl;
   wl.app_names.assign(4, "mcf");
   return Simulator(c, wl);
@@ -308,7 +307,7 @@ TEST(CentralController, EscalationRaisesRatesUnderHopInflation) {
   c.on_epoch(congested, NetTelemetry{8.0}, rates);
   c.on_epoch(congested, NetTelemetry{8.0}, rates);
   EXPECT_GT(rates[0], p.gamma_throt) << "escalation should exceed the gamma ceiling";
-  EXPECT_LE(rates[0], p.rate_ceiling);
+  EXPECT_LE(rates[0], kRateCeiling);
   EXPECT_EQ(rates[1], 0.0) << "above-mean node stays free regardless";
 }
 
@@ -343,32 +342,32 @@ TEST(CentralController, EscalationNeverExceedsRateCeiling) {
   std::vector<double> rates(2);
   for (int e = 0; e < 50; ++e) {
     c.on_epoch(congested, NetTelemetry{20.0}, rates);
-    ASSERT_LE(rates[0], p.rate_ceiling);
+    ASSERT_LE(rates[0], kRateCeiling);
   }
 }
 
 // -------------------------------------------------------------- distributed
 
 TEST(Distributed, MarkThresholdAndHold) {
-  DistributedCoordinator d(2, CcParams{}, DistributedCcParams{0.30, 1000, 128});
+  DistributedCoordinator d(2, CcParams{});
   EXPECT_FALSE(d.should_mark(0.2));
   EXPECT_TRUE(d.should_mark(0.5));
   EXPECT_EQ(d.rate(0, 0), 0.0);
   d.set_local_ipf(0, 1.0);
   d.on_marked_packet(0, 100);
-  EXPECT_DOUBLE_EQ(d.rate(0, 100), 0.75);   // Eq. 2 at IPF 1
-  EXPECT_DOUBLE_EQ(d.rate(0, 1099), 0.75);  // still within hold
-  EXPECT_DOUBLE_EQ(d.rate(0, 1100), 0.0);   // hold expired
+  EXPECT_DOUBLE_EQ(d.rate(0, 100), 0.75);                        // Eq. 2 at IPF 1
+  EXPECT_DOUBLE_EQ(d.rate(0, 100 + kMarkHoldCycles - 1), 0.75);  // still within hold
+  EXPECT_DOUBLE_EQ(d.rate(0, 100 + kMarkHoldCycles), 0.0);       // hold expired
   EXPECT_EQ(d.rate(1, 100), 0.0);           // other node unaffected
   EXPECT_EQ(d.marks_received(), 1u);
 }
 
 TEST(Distributed, RefreshedMarksExtendHold) {
-  DistributedCoordinator d(1, CcParams{}, DistributedCcParams{0.30, 1000, 128});
+  DistributedCoordinator d(1, CcParams{});
   d.set_local_ipf(0, 2.0);
   d.on_marked_packet(0, 0);
-  d.on_marked_packet(0, 900);
-  EXPECT_GT(d.rate(0, 1500), 0.0);  // extended past the first hold
+  d.on_marked_packet(0, kMarkHoldCycles - 100);
+  EXPECT_GT(d.rate(0, kMarkHoldCycles + 500), 0.0);  // extended past the first hold
 }
 
 }  // namespace

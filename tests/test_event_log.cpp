@@ -159,8 +159,7 @@ TEST(EventLog, ThrottleDecisionsReconstructFromTheCsvAlone) {
     // (f[8-1]). %.17g round-trips exactly, so this must match bit-for-bit.
     const double ipf = std::stod(f[4]);
     const double esc = std::stod(f[7]);
-    const double expect = std::min(c.cc_params.throttle_rate(ipf) * esc,
-                                   c.cc_params.rate_ceiling);
+    const double expect = std::min(c.cc_params.throttle_rate(ipf) * esc, kRateCeiling);
     EXPECT_EQ(ev.rate, expect) << line;
     ++checked_eq2;
   }

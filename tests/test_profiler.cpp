@@ -46,7 +46,7 @@ void* operator new[](std::size_t n) { return ::operator new(n); }
 namespace nocsim {
 namespace {
 
-TEST(ProfScope, DisabledPathAllocatesNothing) {
+TEST(ProfBeginEnd, DisabledPathAllocatesNothing) {
   PhaseProfiler prof;
   const int phase = prof.register_phase("route");
   prof.set_tiles(1);
@@ -54,15 +54,15 @@ TEST(ProfScope, DisabledPathAllocatesNothing) {
 
   const std::uint64_t before = g_news.load(std::memory_order_relaxed);
   for (int i = 0; i < 10'000; ++i) {
-    ProfScope null_scope(nullptr, phase, 0);
-    ProfScope off_scope(&prof, phase, 0);
+    prof_end(nullptr, phase, 0, prof_begin(nullptr));
+    prof_end(&prof, phase, 0, prof_begin(&prof));
   }
   EXPECT_EQ(g_news.load(std::memory_order_relaxed), before)
-      << "a ProfScope on the disabled path must not allocate";
+      << "a timed phase on the disabled path must not allocate";
   EXPECT_EQ(prof.stat(phase, 0).count, 0u) << "disabled profiler must record nothing";
 }
 
-TEST(ProfScope, EnabledPathRecordsIntoTheRightSlot) {
+TEST(ProfBeginEnd, EnabledPathRecordsIntoTheRightSlot) {
   PhaseProfiler prof;
   const int route = prof.register_phase("route");
   const int core = prof.register_phase("core");
@@ -70,9 +70,10 @@ TEST(ProfScope, EnabledPathRecordsIntoTheRightSlot) {
   prof.enable();
 
   for (int i = 0; i < 5; ++i) {
-    ProfScope s(&prof, route, 1);
+    const std::uint64_t t0 = prof_begin(&prof);
+    prof_end(&prof, route, 1, t0);
   }
-  { ProfScope s(&prof, core, 0); }
+  prof_end(&prof, core, 0, prof_begin(&prof));
 
   EXPECT_EQ(prof.stat(route, 1).count, 5u);
   EXPECT_EQ(prof.stat(route, 0).count, 0u);

@@ -148,8 +148,6 @@ SimConfig scenario_config(const std::string& name, WorkloadSpec& wl) {
     c.width = 8;
     c.height = 8;
     c.cc = CcMode::Distributed;
-    c.dist_params.mark_threshold = 0.05;
-    c.dist_params.mark_update_period = 64;
     c.seed = 11;
     Rng rng(33);
     wl = make_category_workload("H", 64, rng);

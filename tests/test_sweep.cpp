@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -34,7 +36,6 @@ SimConfig tiny_config(std::uint64_t seed) {
   SimConfig c;
   c.width = 4;
   c.height = 4;
-  c.prewarm_instructions = 2'000;
   c.warmup_cycles = 500;
   c.measure_cycles = 3'000;
   c.cc_params.epoch = 1'000;
@@ -104,28 +105,58 @@ TEST(ConfigHash, SensitiveToConfigAndWorkload) {
   const std::uint64_t h = config_hash(base, wl);
   EXPECT_EQ(h, config_hash(base, wl));  // stable
 
-  SimConfig c = base;
-  c.seed = 2;
-  EXPECT_NE(config_hash(c, wl), h);
-  c = base;
-  c.cc = CcMode::Central;
-  EXPECT_NE(config_hash(c, wl), h);
-  c = base;
-  c.cc_params.alpha_throt += 0.1;
-  EXPECT_NE(config_hash(c, wl), h);
-  // Shape fields that the width x height pair does not pin down: the z
-  // extent of the 3D families and the graph file of an irregular topology.
-  c = base;
-  c.topology = "mesh3d";
-  const std::uint64_t h3 = config_hash(c, wl);
-  c.depth = 2;
-  EXPECT_NE(config_hash(c, wl), h3);
-  c = base;
-  c.topology = "irregular";
-  c.topology_file = "a.topo";
-  const std::uint64_t ha = config_hash(c, wl);
-  c.topology_file = "b.topo";
-  EXPECT_NE(config_hash(c, wl), ha);
+  using Mutation = std::pair<const char*, std::function<void(SimConfig&)>>;
+  // Every SimConfig value that can change a result: one edit each must
+  // change the run identity.
+  const std::vector<Mutation> sensitive = {
+      {"width", [](SimConfig& c) { c.width = 8; }},
+      {"height", [](SimConfig& c) { c.height = 8; }},
+      {"depth", [](SimConfig& c) { c.depth = 2; }},
+      {"topology", [](SimConfig& c) { c.topology = "torus"; }},
+      {"topology_file", [](SimConfig& c) { c.topology_file = "a.topo"; }},
+      {"router", [](SimConfig& c) { c.router = RouterKind::Buffered; }},
+      {"adaptive_routing", [](SimConfig& c) { c.adaptive_routing = true; }},
+      {"l2_map", [](SimConfig& c) { c.l2_map = "exponential"; }},
+      {"locality_lambda", [](SimConfig& c) { c.locality_lambda = 0.5; }},
+      {"cc", [](SimConfig& c) { c.cc = CcMode::Central; }},
+      {"alpha_starve", [](SimConfig& c) { c.cc_params.alpha_starve += 0.1; }},
+      {"beta_starve", [](SimConfig& c) { c.cc_params.beta_starve += 0.1; }},
+      {"gamma_starve", [](SimConfig& c) { c.cc_params.gamma_starve += 0.1; }},
+      {"alpha_throt", [](SimConfig& c) { c.cc_params.alpha_throt += 0.1; }},
+      {"beta_throt", [](SimConfig& c) { c.cc_params.beta_throt += 0.1; }},
+      {"gamma_throt", [](SimConfig& c) { c.cc_params.gamma_throt += 0.1; }},
+      {"epoch", [](SimConfig& c) { c.cc_params.epoch += 1; }},
+      {"escalation", [](SimConfig& c) { c.cc_params.escalation = false; }},
+      {"static_rate", [](SimConfig& c) { c.static_rate = 0.5; }},
+      {"selective_rates", [](SimConfig& c) { c.selective_rates.assign(16, 0.0); }},
+      {"randomized_throttle_gate", [](SimConfig& c) { c.randomized_throttle_gate = false; }},
+      {"model_control_traffic", [](SimConfig& c) { c.model_control_traffic = true; }},
+      {"seed", [](SimConfig& c) { c.seed = 2; }},
+      {"warmup_cycles", [](SimConfig& c) { c.warmup_cycles += 1; }},
+      {"measure_cycles", [](SimConfig& c) { c.measure_cycles += 1; }},
+      {"record_epoch_ipf", [](SimConfig& c) { c.record_epoch_ipf = true; }},
+  };
+  EXPECT_EQ(sensitive.size(), 26u);
+  for (const auto& [name, mutate] : sensitive) {
+    SimConfig c = base;
+    mutate(c);
+    EXPECT_NE(config_hash(c, wl), h) << name;
+  }
+  // Results are byte-identical at every tiling and with the watchdogs on or
+  // off, so these values must not split one run identity.
+  const std::vector<Mutation> insensitive = {
+      {"shards", [](SimConfig& c) { c.shards = 4; }},
+      {"watchdog.enabled", [](SimConfig& c) { c.watchdog.enabled = true; }},
+      {"watchdog.period", [](SimConfig& c) { c.watchdog.period += 1; }},
+      {"watchdog.max_flit_age", [](SimConfig& c) { c.watchdog.max_flit_age += 1; }},
+      {"watchdog.max_blocked_streak", [](SimConfig& c) { c.watchdog.max_blocked_streak += 1; }},
+      {"watchdog.abort", [](SimConfig& c) { c.watchdog.abort = true; }},
+  };
+  for (const auto& [name, mutate] : insensitive) {
+    SimConfig c = base;
+    mutate(c);
+    EXPECT_EQ(config_hash(c, wl), h) << name;
+  }
 
   WorkloadSpec wl2 = wl;
   wl2.app_names[5] = wl2.app_names[4];

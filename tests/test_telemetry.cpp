@@ -180,7 +180,7 @@ TEST(SimulatorTelemetry, EpochColumnsReproduceAlgorithm1Decisions) {
     for (int i = 0; i < n; ++i) {
       double expect_rate = 0.0;
       if (congested && ipf[i] < mean_ipf) {
-        expect_rate = std::min(c.cc_params.throttle_rate(ipf[i]), c.cc_params.rate_ceiling);
+        expect_rate = std::min(c.cc_params.throttle_rate(ipf[i]), kRateCeiling);
         expect_throttled += (expect_throttled.empty() ? "" : ";") + std::to_string(i);
         ++throttled_cells;
       }

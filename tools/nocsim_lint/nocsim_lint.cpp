@@ -718,8 +718,8 @@ void check_raw_timing(const RuleContext& ctx) {
     if (!word_at(code, pos, "chrono")) continue;
     ctx.add(pos, "raw-timing",
             "raw std::chrono in sim-state code: host timing belongs in "
-            "PhaseProfiler (src/telemetry/profiler.hpp); measure via ProfScope, or "
-            "suppress with allow(raw-timing) and a reason");
+            "PhaseProfiler (src/telemetry/profiler.hpp); measure via "
+            "prof_begin/prof_end, or suppress with allow(raw-timing) and a reason");
   }
 }
 
