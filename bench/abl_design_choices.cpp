@@ -18,7 +18,7 @@ int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const auto measure = flags.get_cycles("cycles", 100'000, 1, "measured cycles per run");
   const int scaling_side =
-      static_cast<int>(flags.get_int("torus-side", 16, "mesh/torus side for the topology ablation"));
+      flags.get_int("torus-side", 16, "mesh/torus side for the topology ablation", 2);
   SweepContext sweep(flags);
   if (flags.finish()) return 0;
 

@@ -16,11 +16,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/csv.hpp"
 #include "common/flags.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/event_log.hpp"
@@ -134,19 +134,14 @@ int run_metrics(const std::string& path, const std::string& topology, int side, 
     std::cerr << "cycle_loop: cannot write " << path << "\n";
     return 1;
   }
-  char buf[64];
-  const auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
   out << "metric,value\n";
   out << "cycles," << r.cycles << "\n";
-  out << "avg_net_latency," << fmt(r.avg_net_latency) << "\n";
-  out << "avg_total_latency," << fmt(r.avg_total_latency) << "\n";
-  out << "utilization," << fmt(r.utilization) << "\n";
-  out << "avg_hops," << fmt(r.avg_hops) << "\n";
-  out << "avg_deflections," << fmt(r.avg_deflections) << "\n";
-  out << "avg_starvation," << fmt(r.avg_starvation) << "\n";
+  out << "avg_net_latency," << format_exact(r.avg_net_latency) << "\n";
+  out << "avg_total_latency," << format_exact(r.avg_total_latency) << "\n";
+  out << "utilization," << format_exact(r.utilization) << "\n";
+  out << "avg_hops," << format_exact(r.avg_hops) << "\n";
+  out << "avg_deflections," << format_exact(r.avg_deflections) << "\n";
+  out << "avg_starvation," << format_exact(r.avg_starvation) << "\n";
   for (std::size_t i = 0; i < r.nodes.size(); ++i) {
     out << "core." << i << ".retired," << r.nodes[i].retired << "\n";
     out << "core." << i << ".flits," << r.nodes[i].flits << "\n";
@@ -209,10 +204,9 @@ int run(int argc, char** argv) {
       flags.get_cycles("cycles-32", 6'000, 1, "measured cycles per rep, 32x32 configs");
   const auto cycles64 =
       flags.get_cycles("cycles-64", 1'500, 1, "measured cycles per rep, 64x64 configs");
-  const int reps =
-      static_cast<int>(flags.get_int("reps", 3, "timed repetitions; best is reported"));
-  const std::int64_t shards_flag =
-      flags.get_int("shards", 4, "tiles for the sharded 32x32/64x64 variants (>= 1)");
+  const int reps = flags.get_int("reps", 3, "timed repetitions; best is reported", 1);
+  const int shards =
+      flags.get_int("shards", 4, "tiles for the sharded 32x32/64x64 variants (>= 1)", 1);
   const bool skip_large =
       flags.get_bool("skip-32", false, "measure only the 8x8 config (quick check)");
   const std::string out_path =
@@ -229,10 +223,8 @@ int run(int argc, char** argv) {
       "metrics", "", "write simulated-metric CSV for one config here (topology smoke mode)");
   const std::string topology = flags.get_string(
       "topology", "mesh", "smoke-mode family: mesh | torus | mesh3d | torus3d | cmesh | irregular");
-  const int side =
-      static_cast<int>(flags.get_int("side", 4, "smoke-mode mesh side (width = height)"));
-  const int depth =
-      static_cast<int>(flags.get_int("depth", 1, "smoke-mode z extent (3d families)"));
+  const int side = flags.get_int("side", 4, "smoke-mode mesh side (width = height)", 2);
+  const int depth = flags.get_int("depth", 1, "smoke-mode z extent (3d families)", 1);
   const std::string topo_file = flags.get_string(
       "topology-file", "", "smoke-mode graph file (topology = irregular)");
   const std::string router =
@@ -240,11 +232,6 @@ int run(int argc, char** argv) {
   const Cycle metrics_cycles =
       flags.get_cycles("metrics-cycles", 5'000, 1, "smoke-mode measured cycles (>= 1)");
   if (flags.finish()) return 0;
-  // Reject out-of-range values before any run: 0 shards would abort inside
-  // the simulator.
-  if (shards_flag < 1 || shards_flag > std::numeric_limits<int>::max())
-    flags.bad_value("shards", std::to_string(shards_flag));
-  const int shards = static_cast<int>(shards_flag);
   if (router != "bless" && router != "buffered") {
     std::cerr << "cycle_loop: unknown --router '" << router << "' (want bless | buffered)\n";
     return 2;

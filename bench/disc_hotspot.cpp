@@ -21,8 +21,7 @@ namespace {
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const auto measure = flags.get_cycles("cycles", 100'000, 1, "measured cycles per run");
-  const int cluster =
-      static_cast<int>(flags.get_int("cluster", 3, "side of the hot corner cluster"));
+  const int cluster = flags.get_int("cluster", 3, "side of the hot corner cluster", 1);
   SweepContext sweep(flags);
   if (flags.finish()) return 0;
 

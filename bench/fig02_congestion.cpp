@@ -17,8 +17,7 @@ namespace {
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const auto measure = flags.get_cycles("cycles", 120'000, 1, "measured cycles per workload");
-  const int seeds = static_cast<int>(
-      flags.get_int("seeds", 4, "workloads per category for panels (a)/(b)"));
+  const int seeds = flags.get_int("seeds", 4, "workloads per category for panels (a)/(b)", 1);
   const auto sweep_measure =
       flags.get_cycles("sweep-cycles", 150'000, 1, "measured cycles per throttle point (c)");
   SweepContext sweep(flags);

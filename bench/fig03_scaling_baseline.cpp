@@ -13,8 +13,7 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int max_side =
-      static_cast<int>(flags.get_int("max-side", 64, "largest mesh side (64 = 4096 cores)"));
+  const int max_side = flags.get_int("max-side", 64, "largest mesh side (64 = 4096 cores)", 4);
   const auto base_cycles =
       flags.get_cycles("cycles", 150'000, 1, "measured cycles at 4x4 (shrinks with size)");
   SweepContext sweep(flags);

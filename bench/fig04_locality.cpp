@@ -10,7 +10,7 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int side = static_cast<int>(flags.get_int("side", 64, "mesh side (paper: 64)"));
+  const int side = flags.get_int("side", 64, "mesh side (paper: 64)", 2);
   const auto measure = flags.get_cycles("cycles", 14'000, 1, "measured cycles per point");
   SweepContext sweep(flags);
   if (flags.finish()) return 0;

@@ -7,10 +7,8 @@
 // Table 1.
 //
 // Implementation: each run carries a caller-owned TelemetryHub sampling on
-// the bin cadence; the per-bin injected-flit counts are read back from the
-// app node's `injections` counter column (per-interval deltas).
-#include <memory>
-
+// the bin cadence; the per-bin injected-flit counts are the app node's
+// `injections` counter (per-interval deltas) in each row.
 #include "bench_util.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -35,15 +33,14 @@ int run(int argc, char** argv) {
   }
 
   std::vector<SweepPoint> points;
-  std::vector<std::unique_ptr<TelemetryHub>> hubs;
-  for (const std::string& app : apps) {
+  std::vector<TelemetryHub> hubs(apps.size(), TelemetryHub(bin));
+  for (std::size_t i = 0; i < apps.size(); ++i) {
     const SimConfig c = small_noc_config(measure, 3);
     WorkloadSpec wl;
-    wl.category = app;
+    wl.category = apps[i];
     wl.app_names.assign(16, "");
-    wl.app_names[5] = app;
-    hubs.push_back(std::make_unique<TelemetryHub>(TelemetryHub::Options{bin}));
-    points.push_back({c, wl, app, {}, hubs.back().get()});
+    wl.app_names[5] = apps[i];
+    points.push_back({c, wl, apps[i], {}, &hubs[i]});
   }
   sweep.runner().run(points);
 
@@ -55,10 +52,9 @@ int run(int argc, char** argv) {
   csv.header({"app", "bin_start_cycle", "flits_injected", "flits_per_cycle"});
 
   for (std::size_t i = 0; i < apps.size(); ++i) {
-    const TelemetryHub& hub = *hubs[i];
-    for (std::size_t r = 0; r < hub.num_rows(); ++r) {
-      const auto flits = std::stoull(hub.cell(r, "n5.injections"));
-      csv.row(apps[i], hub.row_cycle(r) + 1 - bin, flits,
+    for (const TelemetryRow& row : hubs[i].rows) {
+      const std::uint64_t flits = row.routers[5].injections;
+      csv.row(apps[i], row.cycle + 1 - bin, flits,
               static_cast<double>(flits) / static_cast<double>(bin));
     }
   }

@@ -22,8 +22,7 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int seeds = static_cast<int>(
-      flags.get_int("seeds", 3, "workloads per category per mesh size"));
+  const int seeds = flags.get_int("seeds", 3, "workloads per category per mesh size", 1);
   const auto measure = flags.get_cycles("cycles", 120'000, 1, "measured cycles per run");
   const bool with_8x8 = flags.get_bool("with-8x8", true, "include the 8x8 mesh");
   const bool with_ws = flags.get_bool("weighted-speedup", true,

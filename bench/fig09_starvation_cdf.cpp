@@ -12,8 +12,7 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int seeds = static_cast<int>(
-      flags.get_int("seeds", 5, "workloads per heavy category"));
+  const int seeds = flags.get_int("seeds", 5, "workloads per heavy category", 1);
   const auto measure = flags.get_cycles("cycles", 120'000, 1, "measured cycles per run");
   const double util_floor =
       flags.get_double("util-floor", 0.60, "congestion filter on baseline utilization");

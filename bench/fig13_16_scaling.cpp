@@ -21,16 +21,14 @@ const std::vector<std::string>& archs() {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int max_side =
-      static_cast<int>(flags.get_int("max-side", 64, "largest mesh side (64 = 4096 cores)"));
+  const int max_side = flags.get_int("max-side", 64, "largest mesh side (64 = 4096 cores)", 4);
   const auto base_cycles =
       flags.get_cycles("cycles", 150'000, 1, "measured cycles at 4x4 (shrinks with size)");
   const std::string category =
       flags.get_string("category", "H", "workload category (paper: high intensity)");
   const std::string topology = flags.get_string(
       "topology", "mesh", "topology family: mesh | torus | mesh3d | torus3d | cmesh");
-  const int depth =
-      static_cast<int>(flags.get_int("depth", 1, "z extent (mesh3d / torus3d)"));
+  const int depth = flags.get_int("depth", 1, "z extent (mesh3d / torus3d)", 1);
   const int shards = get_shards(flags);
   SweepContext sweep(flags);
   if (flags.finish()) return 0;

@@ -110,7 +110,7 @@ void BM_SimulatorCycleTelemetry(benchmark::State& state) {
   Rng rng(7);
   const auto wl = make_category_workload("HM", side * side, rng);
   Simulator sim(c, wl);
-  TelemetryHub hub(TelemetryHub::Options{1000});
+  TelemetryHub hub(1000);
   sim.attach_telemetry(&hub);
   ChromeTracer::Options topts;
   topts.sample_every = 16;
@@ -120,7 +120,7 @@ void BM_SimulatorCycleTelemetry(benchmark::State& state) {
   for (auto _ : state) sim.run_cycles(1);
   state.counters["node_cycles_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * side * side, benchmark::Counter::kIsRate);
-  benchmark::DoNotOptimize(hub.num_rows());
+  benchmark::DoNotOptimize(hub.rows.size());
   benchmark::DoNotOptimize(tracer.num_events());
 }
 BENCHMARK(BM_SimulatorCycleTelemetry)->Arg(4)->Arg(8)->Arg(16);

@@ -62,7 +62,7 @@ OpenLoopResult run_open_loop(Fabric& fabric, const TrafficPattern& pattern, doub
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int side = static_cast<int>(flags.get_int("side", 8, "mesh side"));
+  const int side = flags.get_int("side", 8, "mesh side", 2);
   const auto cycles = flags.get_cycles("cycles", 20'000, 1, "cycles per load point");
   const std::string pattern_name =
       flags.get_string("pattern", "uniform", "uniform | transpose | hotspot | exponential");

@@ -17,8 +17,7 @@ namespace {
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int seeds =
-      static_cast<int>(flags.get_int("seeds", 3, "congested workloads per point"));
+  const int seeds = flags.get_int("seeds", 3, "congested workloads per point", 1);
   const auto measure = flags.get_cycles("cycles", 120'000, 1, "measured cycles per run");
   SweepContext sweep(flags);
   if (flags.finish()) return 0;

@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const double batch_share =
       flags.get_double("batch-share", 0.5, "fraction of cores running batch jobs");
-  const auto measure =
-      static_cast<Cycle>(flags.get_int("cycles", 150'000, "measured cycles"));
+  const auto measure = flags.get_cycles("cycles", 150'000, 1, "measured cycles");
   if (flags.finish()) return 0;
 
   // Tenant classes drawn from the Table 1 catalog.

@@ -16,10 +16,8 @@
 int main(int argc, char** argv) {
   using namespace nocsim;
   Flags flags(argc, argv);
-  const int max_side =
-      static_cast<int>(flags.get_int("max-side", 16, "largest mesh side to sweep"));
-  const auto base_cycles =
-      static_cast<Cycle>(flags.get_int("cycles", 80'000, "measured cycles at 4x4"));
+  const int max_side = flags.get_int("max-side", 16, "largest mesh side to sweep", 4);
+  const auto base_cycles = flags.get_cycles("cycles", 80'000, 1, "measured cycles at 4x4");
   if (flags.finish()) return 0;
 
   std::printf("%6s %-18s %10s %10s %10s %10s\n", "cores", "architecture", "ipc/node",

@@ -7,6 +7,7 @@
 // quotes, or newlines), so telemetry files round-trip losslessly.
 #pragma once
 
+#include <cstdio>
 #include <initializer_list>
 #include <istream>
 #include <ostream>
@@ -15,6 +16,15 @@
 #include <vector>
 
 namespace nocsim {
+
+/// `v` printed with %.17g: 17 significant digits always round-trip an IEEE
+/// binary64, so a reader recovers the exact double (and can recompute a
+/// controller decision from it bit for bit).
+inline std::string format_exact(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
 
 class CsvWriter {
  public:

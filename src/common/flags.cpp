@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <system_error>
 #include <thread>
 
@@ -65,20 +64,23 @@ std::optional<T> parse_whole(const std::string& s) {
 
 }  // namespace
 
-std::int64_t Flags::get_int(const std::string& name, std::int64_t def, const std::string& desc) {
+template <typename T>
+T Flags::get_at_least(const std::string& name, T def, T min, const std::string& desc) {
   note(name, std::to_string(def), desc);
   const auto v = raw(name);
   if (!v) return def;
-  const auto parsed = parse_whole<std::int64_t>(*v);
-  if (!parsed) bad_value(name, *v);
+  const auto parsed = parse_whole<T>(*v);
+  if (!parsed || *parsed < min) bad_value(name, *v);
   return *parsed;
+}
+
+int Flags::get_int(const std::string& name, int def, const std::string& desc, int min) {
+  return get_at_least(name, def, min, desc);
 }
 
 Cycle Flags::get_cycles(const std::string& name, Cycle def, Cycle min,
                         const std::string& desc) {
-  const std::int64_t v = get_int(name, static_cast<std::int64_t>(def), desc);
-  if (v < static_cast<std::int64_t>(min)) bad_value(name, std::to_string(v));
-  return static_cast<Cycle>(v);
+  return get_at_least(name, def, min, desc);
 }
 
 double Flags::get_double(const std::string& name, double def, const std::string& desc) {
@@ -129,18 +131,16 @@ std::string Flags::program_name() const {
 }
 
 int get_jobs(Flags& flags) {
-  const auto n = flags.get_int(
-      "jobs", 0, "worker threads for parallel sweep execution (0 = all hardware threads)");
-  if (n > 0) return static_cast<int>(n);
+  const int n = flags.get_int(
+      "jobs", 0, "worker threads for parallel sweep execution (0 = all hardware threads)", 0);
+  if (n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? static_cast<int>(hw) : 1;
 }
 
 int get_shards(Flags& flags) {
-  const auto n = flags.get_int(
-      "shards", 1, "intra-run worker tiles per simulation (results identical for any value)");
-  if (n < 1 || n > std::numeric_limits<int>::max()) flags.bad_value("shards", std::to_string(n));
-  return static_cast<int>(n);
+  return flags.get_int(
+      "shards", 1, "intra-run worker tiles per simulation (results identical for any value)", 1);
 }
 
 }  // namespace nocsim

@@ -21,7 +21,10 @@ class Flags {
   Flags(int argc, char** argv);
 
   /// Register + read a flag; `desc` appears in --help output.
-  std::int64_t get_int(const std::string& name, std::int64_t def, const std::string& desc);
+  /// An int of at least `min`, else a bad value (exit 2): a count of zero
+  /// or a negative size never reaches the program. No integer flag takes a
+  /// negative value, hence the default bound.
+  int get_int(const std::string& name, int def, const std::string& desc, int min = 0);
   /// A cycle count: an integer of at least `min`, else a bad value (exit 2),
   /// so a negative count never wraps to ~2^64 cycles.
   Cycle get_cycles(const std::string& name, Cycle def, Cycle min, const std::string& desc);
@@ -43,6 +46,9 @@ class Flags {
 
  private:
   std::optional<std::string> raw(const std::string& name);
+  /// The value of flag `name` as a T of at least `min`, else a bad value.
+  template <typename T>
+  T get_at_least(const std::string& name, T def, T min, const std::string& desc);
   void note(const std::string& name, const std::string& def, const std::string& desc);
 
   std::string program_;
@@ -60,8 +66,8 @@ int get_jobs(Flags& flags);
 /// The standard `--shards` flag for binaries that run whole simulations:
 /// row-strip tiles (worker threads) *inside* each simulation. Results are
 /// byte-identical for every value; 1 (the default) runs on the calling
-/// thread alone, and a value below 1 is rejected as a bad value. Composes
-/// with --jobs — total threads ~= jobs * shards.
+/// thread alone, and a value below 1 is a bad value. Composes with --jobs —
+/// total threads ~= jobs * shards.
 int get_shards(Flags& flags);
 
 }  // namespace nocsim

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "cpu/file_trace.hpp"
 #include "noc/bless_fabric.hpp"
 #include "noc/buffered_fabric.hpp"
 #include "telemetry/event_log.hpp"
 #include "telemetry/profiler.hpp"
-#include "telemetry/telemetry.hpp"
 #include "workload/synth_trace.hpp"
 
 namespace nocsim {
@@ -640,14 +640,9 @@ void Simulator::step() {
   // Sample after epoch_update so an epoch-cadence row carries the values
   // the controller consumed (sigma, IPF) and produced (rates, congested
   // flag) *this* cycle. Null hub = one pointer test per cycle.
-  const int n = config_.num_nodes();
-  if (hub_ != nullptr && (now_ + 1) % hub_period_ == 0) {
-    // Gauges read sigma windows and counters of every NI directly.
-    for (NodeId i = 0; i < n; ++i) sync_ni(i, now_ + 1);
-    hub_->sample(now_);
-  }
+  if (hub_ != nullptr && (now_ + 1) % hub_->sample_period == 0) sample_telemetry();
   if (distributed_ && (now_ + 1) % kMarkUpdatePeriod == 0) {
-    for (NodeId i = 0; i < n; ++i) {
+    for (NodeId i = 0; i < config_.num_nodes(); ++i) {
       fabric_->set_marks_flits(i,
                                distributed_->should_mark(nis_[i].starvation.windowed_rate()));
     }
@@ -775,74 +770,67 @@ SimResult Simulator::collect(Cycle measured_cycles) {
 void Simulator::attach_telemetry(TelemetryHub* hub) {
   NOCSIM_CHECK(hub != nullptr);
   NOCSIM_CHECK_MSG(hub_ == nullptr, "telemetry hub already attached");
+  // Every lifetime counter is still zero, the baseline of the first deltas.
+  NOCSIM_CHECK_MSG(now_ == 0 && hub->rows.empty(), "attach telemetry before the first cycle");
+  if (hub->sample_period == 0) hub->sample_period = config_.cc_params.epoch;
+  const int n = config_.num_nodes();
+  hub->has_core.assign(static_cast<std::size_t>(n), false);
+  for (NodeId i = 0; i < n; ++i) {
+    for (int k = 0; k < conc_; ++k) {
+      if (cores_[i * conc_ + k] != nullptr) hub->has_core[static_cast<std::size_t>(i)] = true;
+    }
+  }
+  hub_base_.assign(static_cast<std::size_t>(n), RouterSample{});
   hub_ = hub;
-  hub_->default_sample_period(config_.cc_params.epoch);
-  hub_period_ = hub_->sample_period();
-  NOCSIM_CHECK(hub_period_ > 0);
+}
 
-  // Controller-epoch columns. On the default cadence (the epoch) a row is
-  // written in the same cycle epoch_update() ran, so sigma/ipf below are the
-  // inputs Algorithm 1 consumed and congested/throttle_rate its outputs.
-  hub_->add_gauge("cc.congested",
-                  [this] { return congested_ ? 1.0 : 0.0; });
-  hub_->add_text("cc.throttled_nodes", [this] {
-    std::string out;
-    for (std::size_t i = 0; i < staged_rates_.size(); ++i) {
-      if (staged_rates_[i] <= 0.0) continue;
-      if (!out.empty()) out += ';';
-      out += std::to_string(i);
+void Simulator::sample_telemetry() {
+  const int n = config_.num_nodes();
+  // The gauges read sigma windows and counters of every NI directly.
+  for (NodeId i = 0; i < n; ++i) sync_ni(i, now_ + 1);
+  TelemetryRow& row = hub_->rows.emplace_back();
+  row.cycle = now_;
+  // On the default cadence (the epoch) epoch_update() ran this cycle, so
+  // sigma/ipf below are the inputs Algorithm 1 consumed and congested,
+  // the throttled set and throttle_rate its outputs.
+  row.congested = congested_;
+  for (NodeId i = 0; i < n; ++i) {
+    if (staged_rates_[i] > 0.0) row.throttled.push_back(i);
+  }
+  // Mean fraction of links busy over the interval. The hop counter restarts
+  // from zero at the measurement boundary (reset_stats), so a count below
+  // the baseline is the whole delta.
+  const std::uint64_t hops = fabric_->stats().flit_hops;
+  const std::uint64_t hop_delta = hops >= hub_base_hops_ ? hops - hub_base_hops_ : hops;
+  hub_base_hops_ = hops;
+  row.link_utilization =
+      static_cast<double>(hop_delta) / (static_cast<double>(fabric_->num_links()) *
+                                        static_cast<double>(hub_->sample_period));
+  row.in_flight = fabric_->in_flight();
+  row.routers.resize(static_cast<std::size_t>(n));
+  for (NodeId i = 0; i < n; ++i) {
+    RouterSample& s = row.routers[i];
+    s.sigma = telemetry_[i].starvation_rate;
+    s.sigma_net = nis_[i].starvation_net.windowed_rate();
+    s.ipf = telemetry_[i].ipf;
+    s.throttle_rate = nis_[i].throttler.rate();
+    // Lifetime counters first, then the deltas against the last sample's.
+    // Retirement sums every core behind the NI (one core except on
+    // concentrated topologies).
+    s.injections = nis_[i].injected_flits;
+    s.deflections = fabric_->node_deflections(i);
+    s.blocked = nis_[i].throttler.blocked_attempts();
+    for (int k = 0; k < conc_; ++k) {
+      if (const Core* core = cores_[i * conc_ + k].get()) s.retired += core->lifetime_retired();
     }
-    return out;
-  });
-
-  // Fabric columns.
-  const double links = static_cast<double>(fabric_->num_links());
-  const double period = static_cast<double>(hub_period_);
-  hub_->add_gauge("fabric.link_utilization",
-                  [this, links, period, last = std::uint64_t{0}]() mutable {
-                    // Mean fraction of links busy over the interval. The hop
-                    // counter restarts from zero at the measurement boundary
-                    // (reset_stats), so guard the delta instead of
-                    // registering it as a monotone counter.
-                    const std::uint64_t cur = fabric_->stats().flit_hops;
-                    const std::uint64_t delta = cur >= last ? cur - last : cur;
-                    last = cur;
-                    return static_cast<double>(delta) / (links * period);
-                  });
-  hub_->add_gauge("fabric.in_flight",
-                  [this] { return static_cast<double>(fabric_->in_flight()); });
-
-  // Per-node columns.
-  for (NodeId i = 0; i < config_.num_nodes(); ++i) {
-    // (Built up in steps: GCC 12's -Wrestrict misfires on chained
-    // string literal + to_string concatenation at -O3.)
-    std::string p = "n";
-    p += std::to_string(i);
-    p += '.';
-    hub_->add_gauge(p + "sigma", [this, i] { return telemetry_[i].starvation_rate; });
-    hub_->add_gauge(p + "sigma_net",
-                    [this, i] { return nis_[i].starvation_net.windowed_rate(); });
-    hub_->add_gauge(p + "ipf", [this, i] { return telemetry_[i].ipf; });
-    hub_->add_gauge(p + "throttle_rate", [this, i] { return nis_[i].throttler.rate(); });
-    hub_->add_counter(p + "injections", [this, i] { return nis_[i].injected_flits; });
-    hub_->add_counter(p + "deflections",
-                      [this, i] { return fabric_->node_deflections(i); });
-    hub_->add_counter(p + "blocked",
-                      [this, i] { return nis_[i].throttler.blocked_attempts(); });
-    // Retirement at router i sums every core behind its NI (one core except
-    // on concentrated topologies) so the column set is per router either way.
-    bool any_core = false;
-    for (int k = 0; k < conc_; ++k) any_core |= cores_[i * conc_ + k] != nullptr;
-    if (any_core) {
-      hub_->add_counter(p + "retired", [this, i] {
-        std::uint64_t sum = 0;
-        for (int k = 0; k < conc_; ++k) {
-          const NodeId c = i * conc_ + k;
-          if (cores_[c]) sum += cores_[c]->lifetime_retired();
-        }
-        return sum;
-      });
-    }
+    const RouterSample base = std::exchange(hub_base_[i], s);
+    NOCSIM_CHECK_MSG(s.injections >= base.injections && s.deflections >= base.deflections &&
+                         s.blocked >= base.blocked && s.retired >= base.retired,
+                     "telemetry counter went backwards");
+    s.injections -= base.injections;
+    s.deflections -= base.deflections;
+    s.blocked -= base.blocked;
+    s.retired -= base.retired;
   }
 }
 

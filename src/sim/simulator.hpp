@@ -38,13 +38,13 @@
 #include "noc/reassembly.hpp"
 #include "sim/config.hpp"
 #include "sim/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/workload.hpp"
 
 namespace nocsim {
 
 class EventLog;
 class PhaseProfiler;
-class TelemetryHub;
 
 class Simulator {
  public:
@@ -53,12 +53,11 @@ class Simulator {
   /// Warmup (stats discarded) then measurement; returns the full result.
   SimResult run();
 
-  /// Register this simulator's instruments with `hub` (which must outlive
-  /// the simulator) and sample them every hub sample period; if the hub has
-  /// no period yet, the controller epoch is adopted, so each row carries
-  /// exactly the per-node (sigma, IPF) values Algorithm 1 consumed and the
-  /// throttle rates it decided. Call once, before run(). With no hub
-  /// attached the per-cycle cost is one null-pointer test.
+  /// Append one row to `hub` (which must outlive the simulator) every hub
+  /// sample period; a period of 0 adopts the controller epoch, so each row
+  /// carries exactly the per-node (sigma, IPF) values Algorithm 1 consumed
+  /// and the throttle rates it decided. Call once, before run(). With no
+  /// hub attached the per-cycle cost is one null-pointer test.
   void attach_telemetry(TelemetryHub* hub);
 
   /// Attach a flit-level event tracer (forwarded to the fabric; see
@@ -175,6 +174,9 @@ class Simulator {
   /// Livelock/starvation checks (config.watchdog): oldest in-flight flit
   /// age and per-NI blocked streaks. Serial end-of-cycle, period cadence.
   void watchdog_check();
+  /// Append the row of the sample closing this cycle to hub_. Serial
+  /// end-of-cycle, after epoch_update.
+  void sample_telemetry();
   void begin_measurement();
   SimResult collect(Cycle measured_cycles);
 
@@ -256,10 +258,13 @@ class Simulator {
   /// [node][epoch] when recorded
   std::vector<std::vector<double>> epoch_ipf_ NOCSIM_SHARED_READONLY;
 
-  // Telemetry (see attach_telemetry). node_class_ maps core -> intensity
-  // class index, -1 for idle and file-trace cores.
+  // Telemetry (see attach_telemetry). The lifetime counters at the last
+  // sample are the baselines of the next row's deltas (only RouterSample's
+  // counter fields are used). node_class_ maps core -> intensity class
+  // index, -1 for idle and file-trace cores.
   TelemetryHub* hub_ NOCSIM_SHARED_READONLY = nullptr;
-  Cycle hub_period_ NOCSIM_SHARED_READONLY = 0;
+  std::vector<RouterSample> hub_base_ NOCSIM_SHARED_READONLY;
+  std::uint64_t hub_base_hops_ NOCSIM_SHARED_READONLY = 0;
 
   // Observability (see attach_profiler / attach_events). The profiler is
   // the only wall-clock consumer; everything below the event log records is

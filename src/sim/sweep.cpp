@@ -127,6 +127,13 @@ std::uint64_t config_hash(const SimConfig& c, const WorkloadSpec& workload) {
   return h.digest();
 }
 
+std::size_t RunLog::reserve(std::size_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::size_t first = next_index_;
+  next_index_ += n;
+  return first;
+}
+
 void RunLog::add(RunRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
   records_.push_back(std::move(record));
@@ -200,9 +207,14 @@ bool RunLog::write_files(const std::string& stem) const {
   return ok;
 }
 
+std::size_t SweepRunner::reserve(std::size_t n) {
+  return options_.log != nullptr ? options_.log->reserve(n) : 0;
+}
+
 std::vector<SimResult> SweepRunner::run(const std::vector<SweepPoint>& points) {
   std::vector<SimResult> results(points.size());
-  run_indexed(points.size(), [this, &points, &results](std::size_t i) {
+  const std::size_t first = reserve(points.size());
+  run_block(first, points.size(), [this, first, &points, &results](std::size_t i) {
     const SweepPoint& point = points[i];
     SimConfig config = point.config;
     if (options_.derive_seeds) {
@@ -211,14 +223,14 @@ std::vector<SimResult> SweepRunner::run(const std::vector<SweepPoint>& points) {
     Simulator sim(config, point.workload);
 
     // Telemetry: a caller-owned hub wins; otherwise a stem makes the
-    // runner own one per run and write its files below. Hub, tracer,
-    // profiler, and event log are all private to this run, so records
-    // stay schedule-free.
+    // runner own one per run. With a stem the files are written below.
+    // Hub, tracer, profiler, and event log are all private to this run, so
+    // records stay schedule-free.
     const bool own_files = !options_.telemetry_stem.empty();
     TelemetryHub* hub = point.hub;
     std::optional<TelemetryHub> owned_hub;
     if (hub == nullptr && own_files) {
-      owned_hub.emplace(TelemetryHub::Options{options_.telemetry_period});
+      owned_hub.emplace(options_.telemetry_period);
       hub = &*owned_hub;
     }
     if (hub != nullptr) sim.attach_telemetry(hub);
@@ -243,8 +255,8 @@ std::vector<SimResult> SweepRunner::run(const std::vector<SweepPoint>& points) {
     results[i] = sim.run();
 
     if (own_files) {
-      const std::string base = options_.telemetry_stem + ".run" + std::to_string(i);
-      if (owned_hub && !owned_hub->write_csv_file(base + ".timeseries.csv")) {
+      const std::string base = options_.telemetry_stem + ".run" + std::to_string(first + i);
+      if (!hub->write_csv_file(base + ".timeseries.csv")) {
         std::fprintf(stderr, "nocsim: cannot write %s.timeseries.csv\n", base.c_str());
       }
       // Profiler/event tracks merge into the flit trace when both exist,
@@ -268,6 +280,11 @@ std::vector<SimResult> SweepRunner::run(const std::vector<SweepPoint>& points) {
 }
 
 void SweepRunner::run_indexed(std::size_t n, const std::function<RunRecord(std::size_t)>& fn) {
+  run_block(reserve(n), n, fn);
+}
+
+void SweepRunner::run_block(std::size_t first, std::size_t n,
+                            const std::function<RunRecord(std::size_t)>& fn) {
   // min(jobs, n) workers, the calling thread included, pull indices from one
   // shared counter. Each fn(i) writes only its own slots and the log sorts
   // by index, so nothing depends on the schedule.
@@ -277,7 +294,7 @@ void SweepRunner::run_indexed(std::size_t n, const std::function<RunRecord(std::
   // A worker's exception lands in its own slot and stops the handing out of
   // indices; the first one is rethrown here once every worker has joined.
   std::vector<std::exception_ptr> errors(workers);
-  const auto worker = [this, n, &fn, &next, &errors](std::size_t w) {
+  const auto worker = [this, first, n, &fn, &next, &errors](std::size_t w) {
     try {
       for (std::size_t i = next++; i < n; i = next++) {
         // nocsim-lint: allow(wallclock, raw-timing): host wall time feeds the run record only, never sim state.
@@ -285,7 +302,7 @@ void SweepRunner::run_indexed(std::size_t n, const std::function<RunRecord(std::
         RunRecord rec = fn(i);
         // nocsim-lint: allow(wallclock, raw-timing): wall_seconds is a reporting field, not sim state.
         const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
-        rec.index = i;
+        rec.index = first + i;
         rec.wall_seconds = wall.count();
         if (options_.log) options_.log->add(std::move(rec));
       }

@@ -44,7 +44,9 @@ std::uint64_t config_hash(const SimConfig& config, const WorkloadSpec& workload)
 
 /// One structured record per completed simulation run.
 struct RunRecord {
-  std::size_t index = 0;       ///< position in the sweep's point list
+  /// Run number: the point's position in its sweep plus the first index
+  /// the log reserved for that sweep (RunLog::reserve).
+  std::size_t index = 0;
   std::string label;           ///< caller-supplied tag ("fig7/4x4/HM/s0/cc")
   std::uint64_t config_hash = 0;
   std::uint64_t seed = 0;      ///< the seed the run actually used
@@ -58,10 +60,15 @@ struct RunRecord {
 };
 
 /// Thread-safe collector of RunRecords. Records arrive in completion order
-/// from the workers; readers always see them sorted by sweep index, so file
+/// from the workers; readers always see them sorted by index, so file
 /// output is deterministic apart from the wall_seconds column.
 class RunLog {
  public:
+  /// Reserve `n` consecutive run indices and return the first. Every sweep
+  /// on one log takes its own block in submission order, so the records
+  /// and `<stem>.run<i>.*` files of two sweeps never share an index.
+  std::size_t reserve(std::size_t n);
+
   void add(RunRecord record);
 
   /// Snapshot, sorted by index.
@@ -77,6 +84,7 @@ class RunLog {
  private:
   mutable std::mutex mu_;
   std::vector<RunRecord> records_;
+  std::size_t next_index_ = 0;
 };
 
 /// One simulation point of a sweep.
@@ -89,9 +97,9 @@ struct SweepPoint {
   /// the same workload) share a stream so both arms see the same seed.
   std::optional<std::uint64_t> seed_stream;
   /// Optional caller-owned telemetry hub attached to this point's
-  /// simulator. The caller reads/writes it after run() returns; the runner
-  /// writes no files for it (contrast SweepOptions::telemetry_stem, which
-  /// makes the runner own a hub per run). Must outlive the sweep.
+  /// simulator, read by the caller after run() returns; with
+  /// SweepOptions::telemetry_stem set the runner also writes it like its
+  /// own hubs. Must outlive the sweep.
   TelemetryHub* hub = nullptr;
 };
 
@@ -104,10 +112,10 @@ struct SweepOptions {
   RunLog* log = nullptr;     ///< optional per-run record sink
 
   // Telemetry (see src/telemetry/). When telemetry_stem is non-empty, every
-  // run without a caller-owned point.hub gets a runner-owned hub and writes
-  // `<stem>.run<i>.timeseries.csv`. Output is deterministic for a fixed
+  // run writes `<stem>.run<i>.timeseries.csv` from its point.hub, or from a
+  // runner-owned hub if it has none. Output is deterministic for a fixed
   // (config, seed) at any --jobs: each run's telemetry is private to its
-  // simulator and files are keyed by point index.
+  // simulator and files are keyed by run index (RunRecord::index).
   std::string telemetry_stem;
   /// Sample period for runner-owned hubs; 0 = each run's controller epoch.
   Cycle telemetry_period = 0;
@@ -144,6 +152,13 @@ class SweepRunner {
   void run_indexed(std::size_t n, const std::function<RunRecord(std::size_t)>& fn);
 
  private:
+  /// The first run index of an n-point sweep: a block reserved from the
+  /// log, or 0 without one.
+  std::size_t reserve(std::size_t n);
+  /// run_indexed over the run indices [first, first + n).
+  void run_block(std::size_t first, std::size_t n,
+                 const std::function<RunRecord(std::size_t)>& fn);
+
   SweepOptions options_;
 };
 

@@ -1,10 +1,10 @@
 #include "telemetry/event_log.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
 #include "common/check.hpp"
+#include "common/csv.hpp"
 
 namespace nocsim {
 
@@ -23,18 +23,6 @@ const char* to_string(SimEventKind kind) {
   }
   return "?";
 }
-
-namespace {
-
-// %.17g like the telemetry CSV and goldens: round-trip exact, so a reader
-// can recompute Eq. 2 from the recorded inputs bit-for-bit.
-void append_f(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-}  // namespace
 
 EventLog::EventLog(Options opts) : max_events_(opts.max_events) {
   NOCSIM_CHECK(max_events_ > 0);
@@ -67,15 +55,15 @@ void EventLog::write_csv(std::ostream& out) const {
     line += ',';
     line += std::to_string(e.node);
     line += ',';
-    append_f(line, e.rate);
+    line += format_exact(e.rate);
     line += ',';
-    append_f(line, e.ipf);
+    line += format_exact(e.ipf);
     line += ',';
-    append_f(line, e.sigma);
+    line += format_exact(e.sigma);
     line += ',';
-    append_f(line, e.sigma_net);
+    line += format_exact(e.sigma_net);
     line += ',';
-    append_f(line, e.value);
+    line += format_exact(e.value);
     line += '\n';
     out << line;
   }
@@ -100,15 +88,15 @@ void EventLog::write_chrome_events(std::ostream& out) const {
     }
     std::string args;
     args += "{\"rate\": ";
-    append_f(args, e.rate);
+    args += format_exact(e.rate);
     args += ", \"ipf\": ";
-    append_f(args, e.ipf);
+    args += format_exact(e.ipf);
     args += ", \"sigma\": ";
-    append_f(args, e.sigma);
+    args += format_exact(e.sigma);
     args += ", \"sigma_net\": ";
-    append_f(args, e.sigma_net);
+    args += format_exact(e.sigma_net);
     args += ", \"value\": ";
-    append_f(args, e.value);
+    args += format_exact(e.value);
     args += "}";
     out << ", \"args\": " << args << "}";
   }

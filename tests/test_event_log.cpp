@@ -169,21 +169,13 @@ TEST(EventLog, ThrottleDecisionsReconstructFromTheCsvAlone) {
   std::vector<double> rate(static_cast<std::size_t>(c.num_nodes()), 0.0);
   std::size_t next = 0;
   int checked_cells = 0;
-  for (std::size_t r = 0; r < hub.num_rows(); ++r) {
-    const Cycle at = hub.row_cycle(r);
-    while (next < throttles.size() && throttles[next].cycle <= at) {
+  for (const TelemetryRow& row : hub.rows) {
+    while (next < throttles.size() && throttles[next].cycle <= row.cycle) {
       rate[static_cast<std::size_t>(throttles[next].node)] = throttles[next].rate;
       ++next;
     }
-    for (NodeId i = 0; i < c.num_nodes(); ++i) {
-      // (Built up in steps: GCC 12's -Wrestrict misfires on chained
-      // string literal + to_string concatenation at -O3.)
-      std::string column = "n";
-      column += std::to_string(i);
-      column += ".throttle_rate";
-      const std::string& cell = hub.cell(r, column);
-      EXPECT_EQ(std::stod(cell), rate[static_cast<std::size_t>(i)])
-          << "node " << i << " at cycle " << at;
+    for (std::size_t i = 0; i < rate.size(); ++i) {
+      EXPECT_EQ(row.routers[i].throttle_rate, rate[i]) << "node " << i << " at cycle " << row.cycle;
       ++checked_cells;
     }
   }

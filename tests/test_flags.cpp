@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 namespace nocsim {
@@ -77,6 +79,27 @@ TEST(FlagsDeathTest, MalformedIntExits) {
               "bad value for --x");
 }
 
+// An integer outside [min, INT_MAX] is a bad value too: a count of zero or
+// a negative size never reaches the program.
+TEST(FlagsDeathTest, IntOutOfRangeExits) {
+  const auto read_int = [](const std::string& value, int min) {
+    std::vector<std::string> args = {"prog", "--x", value};
+    auto argv = argv_of(args);
+    Flags f(static_cast<int>(argv.size()), argv.data());
+    (void)f.get_int("x", 1, "x", min);
+  };
+  EXPECT_EXIT(read_int("0", 1), ::testing::ExitedWithCode(2), "bad value for --x: 0");
+  EXPECT_EXIT(read_int("-1", 0), ::testing::ExitedWithCode(2), "bad value for --x: -1");
+  EXPECT_EXIT(read_int("2147483648", 0), ::testing::ExitedWithCode(2),
+              "bad value for --x: 2147483648");
+  EXPECT_EXIT(
+      {
+        read_int("2147483647", 1);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 TEST(FlagsDeathTest, MalformedDoubleExits) {
   EXPECT_EXIT(read_flag("double", "fast"), ::testing::ExitedWithCode(2),
               "bad value for --x: fast");
@@ -93,7 +116,7 @@ TEST(Flags, WellFormedValuesParse) {
   std::vector<std::string> args = {"prog", "--a=-7", "--b=1e-3", "--c=no", "--d=0", "--e=yes"};
   auto argv = argv_of(args);
   Flags f(static_cast<int>(argv.size()), argv.data());
-  EXPECT_EQ(f.get_int("a", 0, "x"), -7);
+  EXPECT_EQ(f.get_int("a", 0, "x", -7), -7);
   EXPECT_DOUBLE_EQ(f.get_double("b", 0.0, "x"), 1e-3);
   EXPECT_FALSE(f.get_bool("c", true, "x"));
   EXPECT_FALSE(f.get_bool("d", true, "x"));

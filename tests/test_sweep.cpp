@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <functional>
 #include <set>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/workload.hpp"
 
 namespace nocsim {
@@ -314,6 +316,43 @@ TEST(SweepRunner, RunIndexedFillsSlotsAndLogs) {
     EXPECT_EQ(recs[i].label, "pt" + std::to_string(i));
     EXPECT_EQ(recs[i].system_throughput, static_cast<double>(i));
   }
+}
+
+// Two sweeps through one runner and log (as fig02's two panels run) number
+// their runs in one sequence: the second sweep's records and time-series
+// files follow the first's instead of reusing its indices. A point's
+// caller-owned hub is written like a runner-owned one.
+TEST(SweepRunner, SweepsOnOneLogNumberRunsInSubmissionOrder) {
+  const std::string stem = ::testing::TempDir() + "nocsim_sweep_numbering";
+  RunLog log;
+  SweepOptions options = sweep_opts(2, true, &log);
+  options.telemetry_stem = stem;
+  SweepRunner runner(options);
+  std::vector<SweepPoint> first = tiny_points();
+  first.resize(5);
+  std::vector<SweepPoint> second = tiny_points();
+  second.resize(3);
+  for (SweepPoint& p : second) p.label = "second/" + p.label;
+  TelemetryHub hub;
+  second[1].hub = &hub;
+  runner.run(first);
+  runner.run(second);
+
+  std::vector<std::string> labels;
+  for (const SweepPoint& p : first) labels.push_back(p.label);
+  for (const SweepPoint& p : second) labels.push_back(p.label);
+  const std::vector<RunRecord> recs = log.records();
+  ASSERT_EQ(recs.size(), labels.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(recs[i].index, i);
+    EXPECT_EQ(recs[i].label, labels[i]);
+    const std::string path = stem + ".run" + std::to_string(i) + ".timeseries.csv";
+    EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    std::filesystem::remove(path);
+  }
+  EXPECT_FALSE(
+      std::filesystem::exists(stem + ".run" + std::to_string(recs.size()) + ".timeseries.csv"));
+  EXPECT_FALSE(hub.rows.empty());
 }
 
 TEST(SweepRunner, RunIndexedRethrowsAfterJoiningWorkers) {

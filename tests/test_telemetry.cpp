@@ -1,8 +1,9 @@
-// Telemetry layer tests: TelemetryHub instrument semantics, the CSV
-// round-trip through common/csv.hpp, the Chrome trace exporter, and — the
-// headline property — that a telemetry run's per-epoch sigma/IPF/throttle
-// columns reproduce the central controller's Algorithm 1 decisions
-// bit-exactly when recomputed from the parsed file.
+// Telemetry layer tests: the time-series row semantics (counter deltas),
+// the CSV round-trip through common/csv.hpp, pinned CSV digests, the
+// Chrome trace exporter, and — the headline property — that a telemetry
+// run's per-epoch sigma/IPF/throttle columns reproduce the central
+// controller's Algorithm 1 decisions bit-exactly when recomputed from the
+// parsed file.
 #include "telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -14,74 +15,13 @@
 #include <vector>
 
 #include "common/csv.hpp"
+#include "golden_util.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/flit_trace.hpp"
 #include "workload/workload.hpp"
 
 namespace nocsim {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Hub unit tests.
-
-TEST(TelemetryHub, CounterInstrumentsEmitPerIntervalDeltas) {
-  std::uint64_t v = 5;  // non-zero at registration: baseline, not reported
-  TelemetryHub hub(TelemetryHub::Options{10});
-  hub.add_counter("c", [&] { return v; });
-  v = 12;
-  hub.sample(9);
-  hub.sample(19);  // unchanged: delta 0
-  v = 45;
-  hub.sample(29);
-  ASSERT_EQ(hub.num_rows(), 3u);
-  EXPECT_EQ(hub.cell(0, "c"), "7");
-  EXPECT_EQ(hub.cell(1, "c"), "0");
-  EXPECT_EQ(hub.cell(2, "c"), "33");
-}
-
-TEST(TelemetryHub, GaugeCellsRoundTripDoublesExactly) {
-  const std::vector<double> values = {1.0 / 3.0, 0.1, 6.02214076e23, 1e-300, 0.0};
-  double g = 0.0;
-  TelemetryHub hub(TelemetryHub::Options{1});
-  hub.add_gauge("g", [&] { return g; });
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    g = values[i];
-    hub.sample(i);
-  }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(std::stod(hub.cell(i, "g")), values[i]) << hub.cell(i, "g");
-  }
-}
-
-TEST(TelemetryHub, CsvRoundTripsThroughCsvReader) {
-  TelemetryHub hub(TelemetryHub::Options{100});
-  double g = 0.25;
-  std::uint64_t c = 0;
-  std::string t = "3;7";
-  hub.add_gauge("g", [&] { return g; });
-  hub.add_counter("c", [&] { return c; });
-  hub.add_text("set", [&] { return t; });
-  c = 4;
-  hub.sample(99);
-  g = -1.5;
-  t = "";
-  hub.sample(199);
-
-  std::stringstream ss;
-  hub.write_csv(ss);
-  const CsvTable table = CsvReader::read(ss);
-  ASSERT_EQ(table.header.size(), 4u);
-  EXPECT_EQ(table.header[0], "cycle");
-  ASSERT_EQ(table.rows.size(), 2u);
-  for (const auto& row : table.rows) EXPECT_EQ(row.size(), table.header.size());
-  EXPECT_EQ(table.rows[0][table.column("cycle")], "99");
-  EXPECT_EQ(std::stod(table.rows[0][table.column("g")]), 0.25);
-  EXPECT_EQ(table.rows[0][table.column("c")], "4");
-  EXPECT_EQ(table.rows[0][table.column("set")], "3;7");
-  EXPECT_EQ(std::stod(table.rows[1][table.column("g")]), -1.5);
-  EXPECT_EQ(table.rows[1][table.column("set")], "");
-  EXPECT_FALSE(table.comments.empty());
-}
 
 // ---------------------------------------------------------------------------
 // Simulator integration.
@@ -104,41 +44,175 @@ SimConfig telemetry_config() {
 
 struct HubRun {
   SimResult result;
+  TelemetryHub hub;
   CsvTable table;
-  Cycle period = 0;
 };
 
-HubRun run_with_hub(const SimConfig& c) {
-  Simulator sim(c, make_homogeneous_workload("mcf", 16));
-  TelemetryHub hub;  // no period: adopts the controller epoch
-  sim.attach_telemetry(&hub);
+/// `c` on `wl` with a hub of `period` (0: the controller epoch) attached.
+HubRun run_with_hub(const SimConfig& c, Cycle period = 0,
+                    const WorkloadSpec& wl = make_homogeneous_workload("mcf", 16)) {
+  Simulator sim(c, wl);
   HubRun out;
+  out.hub.sample_period = period;
+  sim.attach_telemetry(&out.hub);
   out.result = sim.run();
-  out.period = hub.sample_period();
   std::stringstream ss;
-  hub.write_csv(ss);
+  out.hub.write_csv(ss);
   out.table = CsvReader::read(ss);
   return out;
+}
+
+/// Column `n<i>.<field>` of a time-series CSV.
+std::size_t node_column(const CsvTable& table, int i, const char* field) {
+  // Built with += to dodge a GCC 12 -Wrestrict misfire on chained
+  // literal + to_string concatenation at -O3.
+  std::string name = "n";
+  name += std::to_string(i);
+  name += '.';
+  name += field;
+  return table.column(name);
+}
+
+// ---------------------------------------------------------------------------
+// Row semantics and the CSV format.
+
+// Counters are deltas over the interval since the previous sample: a row at
+// twice the period holds the sum of the two rows it spans, while gauges
+// read the same instant.
+TEST(TelemetryHub, CounterColumnsHoldPerIntervalDeltas) {
+  const SimConfig c = telemetry_config();
+  const HubRun fine = run_with_hub(c, c.cc_params.epoch);
+  const HubRun coarse = run_with_hub(c, 2 * c.cc_params.epoch);
+  ASSERT_EQ(fine.hub.rows.size(), 2 * coarse.hub.rows.size());
+  std::uint64_t injections = 0;
+  for (std::size_t r = 0; r < coarse.hub.rows.size(); ++r) {
+    const TelemetryRow& a = fine.hub.rows[2 * r];
+    const TelemetryRow& b = fine.hub.rows[2 * r + 1];
+    const TelemetryRow& ab = coarse.hub.rows[r];
+    EXPECT_EQ(ab.cycle, b.cycle);
+    EXPECT_EQ(ab.congested, b.congested);
+    EXPECT_EQ(ab.throttled, b.throttled);
+    EXPECT_EQ(ab.in_flight, b.in_flight);
+    EXPECT_DOUBLE_EQ(ab.link_utilization, (a.link_utilization + b.link_utilization) / 2);
+    for (std::size_t i = 0; i < ab.routers.size(); ++i) {
+      EXPECT_EQ(ab.routers[i].sigma, b.routers[i].sigma);
+      EXPECT_EQ(ab.routers[i].ipf, b.routers[i].ipf);
+      EXPECT_EQ(ab.routers[i].throttle_rate, b.routers[i].throttle_rate);
+      EXPECT_EQ(ab.routers[i].injections, a.routers[i].injections + b.routers[i].injections);
+      EXPECT_EQ(ab.routers[i].deflections, a.routers[i].deflections + b.routers[i].deflections);
+      EXPECT_EQ(ab.routers[i].blocked, a.routers[i].blocked + b.routers[i].blocked);
+      EXPECT_EQ(ab.routers[i].retired, a.routers[i].retired + b.routers[i].retired);
+      injections += ab.routers[i].injections;
+    }
+  }
+  EXPECT_GT(injections, 0u);
+}
+
+TEST(TelemetryHub, GaugeCellsRoundTripDoublesExactly) {
+  const std::vector<double> values = {1.0 / 3.0, 0.1, 6.02214076e23, 1e-300, 0.0, -1.5};
+  TelemetryHub hub(1);
+  hub.has_core = {true};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    TelemetryRow& row = hub.rows.emplace_back();
+    row.cycle = i;
+    row.link_utilization = values[i];
+    row.routers.resize(1);
+    row.routers[0].sigma = values[i];
+    row.routers[0].throttle_rate = values[values.size() - 1 - i];
+  }
+  std::stringstream ss;
+  hub.write_csv(ss);
+  const CsvTable table = CsvReader::read(ss);
+  ASSERT_EQ(table.rows.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const auto& row = table.rows[i];
+    EXPECT_EQ(std::stod(row[table.column("fabric.link_utilization")]), values[i]);
+    EXPECT_EQ(std::stod(row[table.column("n0.sigma")]), values[i]);
+    EXPECT_EQ(std::stod(row[table.column("n0.throttle_rate")]), values[values.size() - 1 - i]);
+  }
+}
+
+TEST(TelemetryHub, CsvRoundTripsThroughCsvReader) {
+  TelemetryHub hub(100);
+  hub.has_core = {false, true};  // router 0 has no core: no n0.retired
+  TelemetryRow row;
+  row.cycle = 99;
+  row.congested = true;
+  row.throttled = {0, 1};
+  row.link_utilization = 0.25;
+  row.in_flight = 6;
+  row.routers.resize(2);
+  row.routers[1].ipf = 12.5;
+  row.routers[1].injections = 4;
+  row.routers[1].retired = 40;
+  hub.rows.push_back(row);
+  row.cycle = 199;
+  row.congested = false;
+  row.throttled.clear();
+  hub.rows.push_back(row);
+
+  std::stringstream ss;
+  hub.write_csv(ss);
+  const CsvTable table = CsvReader::read(ss);
+  ASSERT_EQ(table.comments.size(), 2u);
+  EXPECT_EQ(table.comments[0], "nocsim telemetry time-series; sample period = 100 cycles");
+  const std::vector<std::string> header = {
+      "cycle", "cc.congested", "cc.throttled_nodes", "fabric.link_utilization",
+      "fabric.in_flight", "n0.sigma", "n0.sigma_net", "n0.ipf", "n0.throttle_rate",
+      "n0.injections", "n0.deflections", "n0.blocked", "n1.sigma", "n1.sigma_net", "n1.ipf",
+      "n1.throttle_rate", "n1.injections", "n1.deflections", "n1.blocked", "n1.retired"};
+  EXPECT_EQ(table.header, header);
+  ASSERT_EQ(table.rows.size(), 2u);
+  for (const auto& cells : table.rows) EXPECT_EQ(cells.size(), header.size());
+  const auto& r0 = table.rows[0];
+  EXPECT_EQ(r0[table.column("cycle")], "99");
+  EXPECT_EQ(r0[table.column("cc.congested")], "1");
+  EXPECT_EQ(r0[table.column("cc.throttled_nodes")], "0;1");
+  EXPECT_EQ(r0[table.column("fabric.link_utilization")], "0.25");
+  EXPECT_EQ(r0[table.column("fabric.in_flight")], "6");
+  EXPECT_EQ(r0[table.column("n1.ipf")], "12.5");
+  EXPECT_EQ(r0[table.column("n1.injections")], "4");
+  EXPECT_EQ(r0[table.column("n1.retired")], "40");
+  const auto& r1 = table.rows[1];
+  EXPECT_EQ(r1[table.column("cc.congested")], "0");
+  EXPECT_EQ(r1[table.column("cc.throttled_nodes")], "");
+}
+
+// The time-series bytes of two runs, pinned: any change to a column, its
+// order, its formatting or a counter's delta moves a digest. The second run has
+// one core and 15 idle routers, which have no `retired` column.
+TEST(SimulatorTelemetry, CsvMatchesPinnedDigests) {
+  const auto digest = [](const SimConfig& c, const WorkloadSpec& wl) {
+    Simulator sim(c, wl);
+    TelemetryHub hub;
+    sim.attach_telemetry(&hub);
+    sim.run();
+    std::stringstream ss;
+    hub.write_csv(ss);
+    return testutil::fnv1a(ss.str());
+  };
+  EXPECT_EQ(digest(telemetry_config(), make_homogeneous_workload("mcf", 16)),
+            0xdb0e1da19e63b3b3ULL);
+  WorkloadSpec one_core;
+  one_core.category = "mcf";
+  one_core.app_names.assign(16, "");
+  one_core.app_names[5] = "mcf";
+  EXPECT_EQ(digest(telemetry_config(), one_core), 0xb89e45aec182a59cULL);
 }
 
 TEST(SimulatorTelemetry, EpochColumnsReproduceAlgorithm1Decisions) {
   const SimConfig c = telemetry_config();
   const HubRun run = run_with_hub(c);
-  EXPECT_EQ(run.period, c.cc_params.epoch);
+  EXPECT_EQ(run.hub.sample_period, c.cc_params.epoch);
   ASSERT_EQ(run.table.rows.size(),
             (c.warmup_cycles + c.measure_cycles) / c.cc_params.epoch);
 
   const int n = c.num_nodes();
   std::vector<std::size_t> sigma_col(n), ipf_col(n), rate_col(n);
   for (int i = 0; i < n; ++i) {
-    // Built with += to dodge a GCC 12 -Wrestrict misfire on chained
-    // literal + to_string concatenation at -O3.
-    std::string p = "n";
-    p += std::to_string(i);
-    p += '.';
-    sigma_col[i] = run.table.column(p + "sigma");
-    ipf_col[i] = run.table.column(p + "ipf");
-    rate_col[i] = run.table.column(p + "throttle_rate");
+    sigma_col[i] = node_column(run.table, i, "sigma");
+    ipf_col[i] = node_column(run.table, i, "ipf");
+    rate_col[i] = node_column(run.table, i, "throttle_rate");
     ASSERT_LT(rate_col[i], run.table.header.size()) << "missing columns for node " << i;
   }
   const std::size_t congested_col = run.table.column("cc.congested");
@@ -198,14 +272,12 @@ TEST(SimulatorTelemetry, EpochColumnsReproduceAlgorithm1Decisions) {
 TEST(SimulatorTelemetry, CongestedEpochFractionMatchesHubRows) {
   const SimConfig c = telemetry_config();
   const HubRun run = run_with_hub(c);
-  const std::size_t congested_col = run.table.column("cc.congested");
-  const std::size_t cycle_col = run.table.column("cycle");
   int measured = 0;
   int congested = 0;
-  for (const auto& row : run.table.rows) {
-    if (std::stoull(row[cycle_col]) < c.warmup_cycles) continue;  // warmup epoch
+  for (const TelemetryRow& row : run.hub.rows) {
+    if (row.cycle < c.warmup_cycles) continue;  // warmup epoch
     ++measured;
-    congested += (row[congested_col] == "1") ? 1 : 0;
+    congested += row.congested ? 1 : 0;
   }
   ASSERT_EQ(measured, static_cast<int>(c.measure_cycles / c.cc_params.epoch));
   EXPECT_DOUBLE_EQ(run.result.congested_epoch_fraction,
@@ -215,16 +287,10 @@ TEST(SimulatorTelemetry, CongestedEpochFractionMatchesHubRows) {
 TEST(SimulatorTelemetry, InjectionCounterDeltasSumToFabricInjections) {
   const SimConfig c = telemetry_config();
   const HubRun run = run_with_hub(c);
-  const std::size_t cycle_col = run.table.column("cycle");
   std::uint64_t measured_injections = 0;
-  for (const auto& row : run.table.rows) {
-    if (std::stoull(row[cycle_col]) < c.warmup_cycles) continue;
-    for (int i = 0; i < c.num_nodes(); ++i) {
-      std::string name = "n";
-      name += std::to_string(i);
-      name += ".injections";
-      measured_injections += std::stoull(row[run.table.column(name)]);
-    }
+  for (const TelemetryRow& row : run.hub.rows) {
+    if (row.cycle < c.warmup_cycles) continue;
+    for (const RouterSample& s : row.routers) measured_injections += s.injections;
   }
   // Warmup is a whole number of epochs, so the measurement-window rows'
   // deltas cover exactly the cycles the (reset) fabric counter covers.
