@@ -1,8 +1,9 @@
 // Bump arena for per-tile fabric storage.
 //
 // Each shard tile owns one arena; every lane the tile's routers touch in the
-// cycle loop (latch-bank header/payload/valid/active lanes, halo outboxes) is carved
-// from it at construction time. That gives two properties the hot loop wants:
+// cycle loop (latch-bank header/payload/valid/active lanes, link rings) is
+// carved from it at construction time; a tile's halo outboxes come from an
+// arena of their own. That gives two properties the hot loop wants:
 //
 //  * locality — a tile's working set is one contiguous block, laid out in
 //    the order the phase code walks it, instead of scattered across

@@ -3,8 +3,9 @@
 // The tiled cycle loop keeps metrics byte-identical at every tile count by a
 // write-ownership discipline: between barriers, tile T only writes per-node
 // state in its own row range, and cross-tile effects travel through halo
-// outboxes applied by the owner in the next phase. These markers make that
-// discipline visible to the linter's cross-file symbol table:
+// outboxes applied by the owner in the next cycle's tile task. These
+// markers make that discipline visible to the linter's cross-file symbol
+// table:
 //
 //   NOCSIM_TILE_LOCAL       per-node/per-tile state, indexed by node id;
 //                           a phase body may write entry i only if the
@@ -14,7 +15,7 @@
 //                           folds) may write.
 //   NOCSIM_HALO_ONLY        outbox matrices: [src tile][dst tile] staging
 //                           for cross-tile writes, applied by the owning
-//                           tile in a later phase.
+//                           tile in the next cycle.
 //   NOCSIM_PHASE_OWNED(p)   state only the named phase may write.
 //
 // The markers trail the declarator, before the initializer/semicolon:
@@ -29,7 +30,7 @@
 // NOCSIM_PHASE declares a phase body:
 //
 //   team_->run([this](int t) {
-//     NOCSIM_PHASE("route", &*plan_, t);   // static marker + runtime scope
+//     NOCSIM_PHASE("tile", &plan_, t);     // static marker + runtime scope
 //     ...
 //   });
 //   void Simulator::inject_tile(int tile) {

@@ -1,9 +1,9 @@
 // Persistent worker team for the sharded cycle loop.
 //
-// The cycle loop runs several short phases per simulated cycle with a full
-// barrier between them — far too fine-grained for a condvar-woken pool (a
-// wake costs microseconds; a phase on a small tile costs tens of
-// nanoseconds). This team keeps tiles-1 workers parked
+// The cycle loop runs one short tile task per simulated cycle (deliver,
+// inject, route and core of one tile) with a full barrier after it — far
+// too fine-grained for a condvar-woken pool (a wake costs microseconds,
+// the task of a small tile less). This team keeps tiles-1 workers parked
 // on an epoch counter: run(f) publishes the job with one release increment,
 // the caller executes tile 0 inline, and a done-counter closes the barrier.
 // Spin-then-yield keeps latency low on idle cores without burning a
@@ -66,7 +66,7 @@ class ShardTeam {
 
   /// Execute fn(tile) for every tile in [0, tiles): the caller runs tile 0
   /// inline, workers run the rest. Returns only after ALL tiles finish — a
-  /// full barrier, so fn may read anything written in the previous phase
+  /// full barrier, so fn may read anything written in the previous run
   /// and the caller may read everything fn wrote.
   template <typename F>
   void run(F&& fn) {

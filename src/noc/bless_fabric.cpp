@@ -35,11 +35,6 @@ void BlessFabric::retile() {
   const auto tiles = static_cast<std::size_t>(plan_.tiles());
   const std::size_t nbanks = static_cast<std::size_t>(hop_latency_) + 1;
 
-  // Halo capacity per (src, dst) tile pair: the directed cross-link count,
-  // the hard bound on latch writes staged between those tiles in one cycle.
-  std::vector<std::uint32_t> cross = link_counts();
-  for (std::size_t t = 0; t < tiles; ++t) cross[t * tiles + t] = 0;
-
   // Size each tile's arena up front (bump arenas do not grow).
   const auto lane_len = [this](std::size_t m) { return m << lanes_shift_; };
   const auto words = [](std::size_t m) { return (m + 63) / 64; };
@@ -48,14 +43,11 @@ void BlessFabric::retile() {
   banks_.assign(nbanks, LatchBank{});
   for (std::size_t t = 0; t < tiles; ++t) {
     const auto m = static_cast<std::size_t>(plan_.tile_nodes(static_cast<int>(t)));
-    std::size_t bytes = nbanks * (Arena::lane_bytes<FlitHeader>(lane_len(m)) +
-                                  Arena::lane_bytes<FlitPayload>(lane_len(m)) +
-                                  Arena::lane_bytes<std::uint8_t>(m) +
-                                  Arena::lane_bytes<std::uint64_t>(words(m)));
-    for (std::size_t dst = 0; dst < tiles; ++dst)
-      bytes += Arena::lane_bytes<HaloWrite>(cross[t * tiles + dst]);
     Arena& a = arenas_[t];
-    a.reserve(bytes);
+    a.reserve(nbanks * (Arena::lane_bytes<FlitHeader>(lane_len(m)) +
+                        Arena::lane_bytes<FlitPayload>(lane_len(m)) +
+                        Arena::lane_bytes<std::uint8_t>(m) +
+                        Arena::lane_bytes<std::uint64_t>(words(m))));
     for (LatchBank& b : banks_) {
       b.hdr.push_back(a.alloc_array<FlitHeader>(lane_len(m)));
       b.pay.push_back(a.alloc_array<FlitPayload>(lane_len(m)));
@@ -64,13 +56,7 @@ void BlessFabric::retile() {
     }
   }
 
-  halo_.assign(tiles * tiles, Outbox<HaloWrite>{});
-  for (std::size_t src = 0; src < tiles; ++src) {
-    for (std::size_t dst = 0; dst < tiles; ++dst) {
-      const std::size_t i = src * tiles + dst;
-      halo_[i] = {arenas_[src].alloc_array<HaloWrite>(cross[i]), 0, cross[i]};
-    }
-  }
+  halo_.carve(link_counts(), tiles);
 
   cur_ = &banks_[0];  // empty network: can_accept is well-defined pre-begin
 }
@@ -103,10 +89,13 @@ bool BlessFabric::can_accept(NodeId n) const {
 }
 
 std::uint32_t BlessFabric::oldest_inflight_inject_cycle() const {
-  // Every in-flight flit sits in exactly one latch-bank slot (written at
-  // departure, consumed when its bank becomes current), so scanning all
-  // banks' valid masks between cycles sees the whole network.
+  // Between cycles every in-flight flit sits in exactly one latch-bank
+  // slot (written at departure, consumed when its bank becomes current) or,
+  // if its last hop crossed a tile boundary, in a halo outbox the next
+  // cycle applies. Scanning both sees the whole network.
   std::uint32_t oldest = kNoInflight;
+  halo_.for_each(
+      [&oldest](const HaloWrite& hw) { oldest = std::min(oldest, hw.h.inject_cycle); });
   for (const LatchBank& b : banks_) {
     for (int t = 0; t < plan_.tiles(); ++t) {
       const auto m = static_cast<std::size_t>(plan_.tile_nodes(t));
@@ -125,6 +114,25 @@ std::uint32_t BlessFabric::oldest_inflight_inject_cycle() const {
     }
   }
   return oldest;
+}
+
+void BlessFabric::shard_deliver(Cycle now, int tile) {
+  NOCSIM_PHASE("deliver");
+  // Apply the latch writes other tiles routed toward this tile's routers in
+  // cycle now-1, into the bank they were bound for (now-1 + hop_latency;
+  // hop_latency >= 2 keeps it off the current bank). The slots are distinct
+  // (one flit per link per cycle), so apply order does not matter.
+  const TileLanes out =
+      lanes_of(banks_[(now - 1 + static_cast<Cycle>(hop_latency_)) % banks_.size()], tile);
+  halo_.drain(now, tile, [&](const HaloWrite& hw) {
+    NOCSIM_SHARD_CHECK_WRITE(hw.node, "halo latch apply (shard_deliver)");
+    const std::size_t local = plan_.local_of(tile, hw.node);
+    NOCSIM_DCHECK((out.valid[local] & (1u << hw.port)) == 0);
+    out.hdr[(local << lanes_shift_) + hw.port] = hw.h;
+    out.pay[(local << lanes_shift_) + hw.port] = hw.p;
+    out.valid[local] |= static_cast<std::uint8_t>(1u << hw.port);
+    out.active[local >> 6] |= std::uint64_t{1} << (local & 63);
+  });
 }
 
 void BlessFabric::shard_route(Cycle now, int tile) {
@@ -154,31 +162,6 @@ void BlessFabric::shard_route(Cycle now, int tile) {
       bits &= bits - 1;
       route_node(now, lo + static_cast<NodeId>(local), local, tile, in, out);
     } while (bits != 0);
-  }
-}
-
-void BlessFabric::shard_exchange(Cycle now, int tile) {
-  NOCSIM_PHASE("exchange");
-  // Apply latch writes other tiles routed toward this tile's routers. The
-  // slots are distinct (one flit per link per cycle), so apply order does
-  // not matter.
-  const TileLanes out =
-      lanes_of(banks_[(now + static_cast<Cycle>(hop_latency_)) % banks_.size()], tile);
-  const int tiles = plan_.tiles();
-  for (int src = 0; src < tiles; ++src) {
-    auto& box = halo_[static_cast<std::size_t>(src) * static_cast<std::size_t>(tiles) +
-                      static_cast<std::size_t>(tile)];
-    for (std::uint32_t i = 0; i < box.count; ++i) {
-      const HaloWrite& hw = box.slots[i];
-      NOCSIM_SHARD_CHECK_WRITE(hw.node, "halo latch apply (shard_exchange)");
-      const std::size_t local = plan_.local_of(tile, hw.node);
-      NOCSIM_DCHECK((out.valid[local] & (1u << hw.port)) == 0);
-      out.hdr[(local << lanes_shift_) + hw.port] = hw.h;
-      out.pay[(local << lanes_shift_) + hw.port] = hw.p;
-      out.valid[local] |= static_cast<std::uint8_t>(1u << hw.port);
-      out.active[local >> 6] |= std::uint64_t{1} << (local & 63);
-    }
-    box.count = 0;
   }
 }
 
@@ -316,12 +299,11 @@ void BlessFabric::route_node(Cycle now, NodeId n, std::uint32_t local, int tile,
       out.valid[nl] |= static_cast<std::uint8_t>(1u << in_port);
       out.active[nl >> 6] |= std::uint64_t{1} << (nl & 63);
     } else {
-      // Boundary crossing: the target tile applies this in shard_exchange.
+      // Boundary crossing: the target tile applies this in the next
+      // cycle's shard_deliver.
       const int dt = plan_.tile_of(next);
       NOCSIM_SHARD_CHECK_HALO(tile, dt);
-      const auto tiles = static_cast<std::size_t>(plan_.tiles());
-      HaloWrite& hw =
-          halo_[static_cast<std::size_t>(tile) * tiles + static_cast<std::size_t>(dt)].next();
+      HaloWrite& hw = halo_.stage(now, tile, dt);
       hw.h = h;
       hw.node = next;
       hw.port = in_port;

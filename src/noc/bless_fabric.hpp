@@ -30,8 +30,9 @@
 // arbitration scans stream 20-byte headers and the cold payload is copied
 // once per hop. A latch write into another tile's router goes to a
 // fixed-capacity halo outbox (capacity = the tile pair's cross-link count)
-// owned by the writing tile; the outboxes are the only cachelines two
-// tiles both touch.
+// owned by the writing tile, one set per cycle parity; the target tile
+// applies it in the next cycle's shard_deliver. The outboxes are the only
+// cachelines two tiles both touch.
 #pragma once
 
 #include <array>
@@ -64,12 +65,12 @@ class BlessFabric final : public Fabric {
   [[nodiscard]] bool can_accept(NodeId n) const override;
   [[nodiscard]] std::uint32_t oldest_inflight_inject_cycle() const override;
 
-  // Arrivals were latched in place at departure, so there is nothing to
-  // deliver: shard_begin makes the arrival bank current, and only routing
-  // and the halo exchange of cross-tile latch writes are per tile.
+  // Arrivals were latched in place at departure: shard_begin makes the
+  // arrival bank current, and shard_deliver only applies the latch writes
+  // other tiles staged toward this tile's routers in the previous cycle.
   void shard_begin(Cycle now) override;
+  void shard_deliver(Cycle now, int tile) override;
   void shard_route(Cycle now, int tile) override;
-  void shard_exchange(Cycle now, int tile) override;
 
  private:
   struct NodeState {
@@ -117,8 +118,9 @@ class BlessFabric final : public Fabric {
                   const TileLanes& out);
 
   /// A latch write destined for a router another tile owns: applied by the
-  /// *target* tile in shard_exchange, so every latch slot has exactly one
-  /// writer thread. (One flit per link per cycle makes the slots distinct.)
+  /// *target* tile in the next cycle's shard_deliver, so every latch slot
+  /// has exactly one writer thread. (One flit per link per cycle makes the
+  /// slots distinct.)
   struct HaloWrite {
     FlitHeader h;
     FlitPayload p;
@@ -126,8 +128,8 @@ class BlessFabric final : public Fabric {
     std::uint8_t port;
   };
 
-  /// Carve every latch lane, bitmap word and halo outbox from per-tile
-  /// arenas.
+  /// Carve every latch lane and bitmap word from per-tile arenas, and the
+  /// halo outboxes.
   void retile() override;
 
   BlessRouting routing_ NOCSIM_SHARED_READONLY;
@@ -136,14 +138,14 @@ class BlessFabric final : public Fabric {
   /// Read-only after the ctor here, but the annotation table is name-keyed
   /// and BufferedFabric's nodes_ is genuinely tile-local mutable state.
   std::vector<NodeState> nodes_ NOCSIM_TILE_LOCAL;
-  /// One bump arena per tile holding that tile's latch lanes, bitmap words
-  /// and outboxes.
+  /// One bump arena per tile holding that tile's latch lanes and bitmap
+  /// words.
   std::vector<Arena> arenas_ NOCSIM_TILE_LOCAL;
   /// Ring of hop_latency + 1 phases. Latch lanes are tile-owned; cross-tile
   /// writes detour through halo_ (runtime-checked).
   std::vector<LatchBank> banks_ NOCSIM_TILE_LOCAL;
   LatchBank* cur_ NOCSIM_SHARED_READONLY = nullptr;  ///< bank for the cycle begun last
-  std::vector<Outbox<HaloWrite>> halo_ NOCSIM_HALO_ONLY;  ///< [src * tiles + dst]
+  HaloBoxes<HaloWrite> halo_ NOCSIM_HALO_ONLY;
 };
 
 }  // namespace nocsim

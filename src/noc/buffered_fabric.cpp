@@ -63,22 +63,21 @@ std::uint8_t BufferedFabric::next_vc_state(NodeId n, int op, std::uint8_t vc_sta
 void BufferedFabric::retile() {
   const auto t = static_cast<std::size_t>(plan_.tiles());
   // Ring bounds per tile: directed links landing in it (arrivals) and
-  // leaving it (credits travel back to the link's source). Outbox bounds
-  // per (src, dst) pair: the directed links crossing between them.
-  std::vector<std::uint32_t> cross = link_counts();
+  // leaving it (credits travel back to the link's source).
+  const std::vector<std::uint32_t> links = link_counts();
   std::vector<std::uint32_t> in_links(t, 0), out_links(t, 0);
   for (std::size_t src = 0; src < t; ++src) {
     for (std::size_t dst = 0; dst < t; ++dst) {
-      out_links[src] += cross[src * t + dst];
-      in_links[dst] += cross[src * t + dst];
+      out_links[src] += links[src * t + dst];
+      in_links[dst] += links[src * t + dst];
     }
-    cross[src * t + src] = 0;
   }
   std::size_t on_links = 0;
   for (const TileLinks& tl : tile_links_) {
     tl.arrivals.for_each([&on_links](const LinkArrival&) { ++on_links; });
     tl.credits.for_each([&on_links](const CreditReturn&) { ++on_links; });
   }
+  cred_halo_.for_each([&on_links](const CreditReturn&) { ++on_links; });
   NOCSIM_CHECK_MSG(in_network_ == 0 && on_links == 0,
                    "fabric layout rebuilt with flits or credits in flight");
 
@@ -89,25 +88,14 @@ void BufferedFabric::retile() {
   arenas_.clear();
   arenas_.resize(t);
   for (std::size_t s = 0; s < t; ++s) {
-    std::size_t bytes = LinkRing<LinkArrival>::layout_bytes(arr_slots, in_links[s]) +
-                        LinkRing<CreditReturn>::layout_bytes(2, out_links[s]);
-    for (std::size_t d = 0; d < t; ++d) {
-      bytes += Arena::lane_bytes<LinkArrival>(cross[s * t + d]);
-      bytes += Arena::lane_bytes<CreditReturn>(cross[s * t + d]);
-    }
     Arena& arena = arenas_[s];
-    arena.reserve(bytes);
-    TileLinks& tl = tile_links_[s];
-    tl.arrivals.carve(arena, arr_slots, in_links[s]);
-    tl.credits.carve(arena, 2, out_links[s]);
-    tl.out_arr.resize(t);
-    tl.out_cred.resize(t);
-    for (std::size_t d = 0; d < t; ++d) {
-      const std::uint32_t cap = cross[s * t + d];
-      tl.out_arr[d] = {arena.alloc_array<LinkArrival>(cap), 0, cap};
-      tl.out_cred[d] = {arena.alloc_array<CreditReturn>(cap), 0, cap};
-    }
+    arena.reserve(LinkRing<LinkArrival>::layout_bytes(arr_slots, in_links[s]) +
+                  LinkRing<CreditReturn>::layout_bytes(2, out_links[s]));
+    tile_links_[s].arrivals.carve(arena, arr_slots, in_links[s]);
+    tile_links_[s].credits.carve(arena, 2, out_links[s]);
   }
+  arr_halo_.carve(links, t);
+  cred_halo_.carve(links, t);
 }
 
 bool BufferedFabric::can_accept(NodeId n) const {
@@ -121,8 +109,9 @@ bool BufferedFabric::can_accept(NodeId n) const {
 
 std::uint32_t BufferedFabric::oldest_inflight_inject_cycle() const {
   // Between cycles every in-flight flit is either buffered in a VC FIFO or
-  // riding a link (a tile's arrival ring; outboxes are drained within the
-  // cycle). Credits carry no flits.
+  // riding a link: in a tile's arrival ring, or, if the link crosses a tile
+  // boundary, in an outbox the next cycle's shard_deliver drains. Credits
+  // carry no flits.
   std::uint32_t oldest = kNoInflight;
   const auto fold = [&oldest](std::uint32_t ic) {
     if (ic < oldest) oldest = ic;
@@ -133,15 +122,32 @@ std::uint32_t BufferedFabric::oldest_inflight_inject_cycle() const {
       for (const VcState& vc : port) fold(vc.fifo.min_inject_cycle());
     }
   }
-  for (const TileLinks& tl : tile_links_)
-    tl.arrivals.for_each([&fold](const LinkArrival& a) { fold(a.h.inject_cycle); });
+  const auto fold_arrival = [&fold](const LinkArrival& a) { fold(a.h.inject_cycle); };
+  for (const TileLinks& tl : tile_links_) tl.arrivals.for_each(fold_arrival);
+  arr_halo_.for_each(fold_arrival);
   return oldest;
 }
 
 void BufferedFabric::shard_deliver(Cycle now, int tile) {
   NOCSIM_PHASE("deliver");
-  // Move the tile's arrivals and credits due now into its routers.
+  // First apply what other tiles routed toward this tile in cycle now-1:
+  // arrivals join the ring slot for now-1 + hop_latency behind that cycle's
+  // local pushes (distinct FIFOs, so no FIFO reorders), credits land now.
+  // Credit increments commute, so a remote credit needs no ring slot.
   TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
+  const auto credit = [this](const CreditReturn& c) {
+    NOCSIM_SHARD_CHECK_WRITE(c.node, "credit delivery (shard_deliver)");
+    auto& count = nodes_[c.node].credits[c.dir][c.vc];
+    NOCSIM_CHECK_MSG(count < kVcDepth, "credit overflow");
+    ++count;
+  };
+  arr_halo_.drain(now, tile, [&](const LinkArrival& a) {
+    NOCSIM_SHARD_CHECK_WRITE(a.node, "halo arrival apply (shard_deliver)");
+    tl.arrivals.push(now - 1 + static_cast<Cycle>(hop_latency_), a);
+  });
+  cred_halo_.drain(now, tile, credit);
+
+  // Then move the tile's arrivals and credits due now into its routers.
   ShardTile& ts = shard_tiles_[static_cast<std::size_t>(tile)];
   std::uint64_t* const work = work_bits_.words(tile).data();
   const NodeId lo = plan_.range(tile).lo;
@@ -156,12 +162,7 @@ void BufferedFabric::shard_deliver(Cycle now, int tile) {
     work[local >> 6] |= std::uint64_t{1} << (local & 63);
   });
   ts.buffer_writes += writes;
-  tl.credits.drain(now, [&](const CreditReturn& c) {
-    NOCSIM_SHARD_CHECK_WRITE(c.node, "credit delivery (shard_deliver)");
-    auto& count = nodes_[c.node].credits[c.dir][c.vc];
-    NOCSIM_CHECK_MSG(count < kVcDepth, "credit overflow");
-    ++count;
-  });
+  tl.credits.drain(now, credit);
 }
 
 void BufferedFabric::shard_route(Cycle now, int tile) {
@@ -192,31 +193,6 @@ void BufferedFabric::shard_route(Cycle now, int tile) {
       }
     } while (bits != 0);
     work[w] = still;
-  }
-}
-
-void BufferedFabric::shard_exchange(Cycle now, int tile) {
-  NOCSIM_PHASE("exchange");
-  // Collect arrivals and credits other tiles routed toward this tile into
-  // its own rings. Same-slot entries address distinct FIFOs / credit
-  // counters, so the src-tile visit order is immaterial.
-  TileLinks& tl = tile_links_[static_cast<std::size_t>(tile)];
-  const Cycle arrive_at = now + static_cast<Cycle>(hop_latency_);
-  for (TileLinks& src : tile_links_) {
-    auto& abox = src.out_arr[static_cast<std::size_t>(tile)];
-    for (std::uint32_t i = 0; i < abox.count; ++i) {
-      const LinkArrival& a = abox.slots[i];
-      NOCSIM_SHARD_CHECK_WRITE(a.node, "halo arrival apply (shard_exchange)");
-      tl.arrivals.push(arrive_at, a);
-    }
-    abox.count = 0;
-    auto& cbox = src.out_cred[static_cast<std::size_t>(tile)];
-    for (std::uint32_t i = 0; i < cbox.count; ++i) {
-      const CreditReturn& c = cbox.slots[i];
-      NOCSIM_SHARD_CHECK_WRITE(c.node, "halo credit apply (shard_exchange)");
-      tl.credits.push(now + 1, c);
-    }
-    cbox.count = 0;
   }
 }
 
@@ -302,14 +278,13 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
   if (num_cands == 0) return;
 
   // Stage a link item for the tile that owns its target node: this tile's
-  // own ring, else the outbox to the owner.
+  // own ring, else this cycle's outbox to the owner.
   const ShardPlan::TileRange own = plan_.range(tile);
-  const auto stage = [&](auto& ring, auto& outboxes, Cycle at, NodeId target,
-                         const auto& item) {
+  const auto stage = [&](auto& ring, auto& halo, Cycle at, NodeId target, const auto& item) {
     if (target < own.lo || target >= own.hi) {
       const int dt = plan_.tile_of(target);
       NOCSIM_SHARD_CHECK_HALO(tile, dt);
-      outboxes[static_cast<std::size_t>(dt)].push(item);
+      halo.stage(now, tile, dt) = item;
       ++ts.halo_writes;
       ts.halo_bytes += sizeof(item);
       return;
@@ -337,7 +312,7 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
     if (c.port == static_cast<int>(Dir::Local)) return;
     const NodeId upstream = st.up_node[c.port];
     NOCSIM_DCHECK(upstream != kInvalidNode);
-    stage(tl.credits, tl.out_cred, now + 1, upstream,
+    stage(tl.credits, cred_halo_, now + 1, upstream,
           CreditReturn{upstream, st.up_port[c.port], c.vc});
   };
 
@@ -406,7 +381,7 @@ void BufferedFabric::route_node(Cycle now, NodeId n, int tile) {
     ++ts.productive_hops;  // XY routing: every buffered hop is minimal
     if (trace_ != nullptr)
       ts.trace.push_back(TraceRecord{TraceKind::Hop, n, next, assemble_flit(mh, p)});
-    stage(tl.arrivals, tl.out_arr, now + static_cast<Cycle>(hop_latency_), next, arr);
+    stage(tl.arrivals, arr_halo_, now + static_cast<Cycle>(hop_latency_), next, arr);
 
     if (is_tail) {
       st.out_vc_busy[op][ovc] = false;

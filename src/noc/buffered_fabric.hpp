@@ -50,14 +50,14 @@ class BufferedFabric final : public Fabric {
   [[nodiscard]] std::uint32_t oldest_inflight_inject_cycle() const override;
 
   // Each tile owns the link rings of the routers it owns (a tile delivers
-  // only its own routers' arrivals in shard_deliver), and route-phase
-  // pushes destined for another tile's ring travel through per-(src, dst)
-  // tile outboxes applied in shard_exchange. Within one ring slot, arrivals
-  // target distinct (node, port, vc) FIFOs — one flit per link per cycle —
-  // so the redistribution cannot reorder any FIFO.
+  // only its own routers' arrivals in shard_deliver), and route pushes
+  // destined for another tile's ring travel through per-(src, dst) tile
+  // outboxes that the owner moves into its rings at the top of the next
+  // cycle's shard_deliver. Within one ring slot, arrivals target distinct
+  // (node, port, vc) FIFOs — one flit per link per cycle — so the
+  // redistribution cannot reorder any FIFO.
   void shard_deliver(Cycle now, int tile) override;
   void shard_route(Cycle now, int tile) override;
-  void shard_exchange(Cycle now, int tile) override;
 
  private:
   /// Fixed-capacity flit FIFO, matching the hardware buffer exactly
@@ -211,13 +211,10 @@ class BufferedFabric final : public Fabric {
     std::uint32_t cap_ = 0;
   };
 
-  /// One tile's link state: the rings feeding the routers it owns, plus
-  /// outboxes for pushes that target another tile.
+  /// One tile's link state: the rings feeding the routers it owns.
   struct TileLinks {
-    LinkRing<LinkArrival> arrivals;           ///< hop_latency + 1 slots
-    LinkRing<CreditReturn> credits;           ///< 2 slots (1-cycle credit wire)
-    std::vector<Outbox<LinkArrival>> out_arr; ///< [dst tile]
-    std::vector<Outbox<CreditReturn>> out_cred; ///< [dst tile]
+    LinkRing<LinkArrival> arrivals;  ///< hop_latency + 1 slots
+    LinkRing<CreditReturn> credits;  ///< 2 slots (1-cycle credit wire)
   };
 
   /// Output port for a flit at node n (Local when dst == n). Deterministic
@@ -245,10 +242,11 @@ class BufferedFabric final : public Fabric {
   bool vc_classes_ NOCSIM_SHARED_READONLY = false;
 
   std::vector<NodeState> nodes_ NOCSIM_TILE_LOCAL;  ///< FIFOs/credits, per node
-  /// Per-tile rings plus [dst tile] outboxes; only out_arr/out_cred carry
-  /// cross-tile effects (applied by the owner in shard_exchange).
-  std::vector<TileLinks> tile_links_ NOCSIM_TILE_LOCAL;
-  /// One bump arena per tile backing that tile's rings and outboxes.
+  std::vector<TileLinks> tile_links_ NOCSIM_TILE_LOCAL;  ///< [tile]
+  /// Link pushes whose target another tile owns: flits and credits.
+  HaloBoxes<LinkArrival> arr_halo_ NOCSIM_HALO_ONLY;
+  HaloBoxes<CreditReturn> cred_halo_ NOCSIM_HALO_ONLY;
+  /// One bump arena per tile backing that tile's rings.
   std::vector<Arena> arenas_ NOCSIM_TILE_LOCAL;
   /// Nodes with occ != 0. Set on arrival delivery; a bit survives
   /// shard_route until its router drains, so blocked routers are revisited

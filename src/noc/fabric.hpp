@@ -16,11 +16,13 @@
 // the tile protocol documented below.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "common/shard.hpp"
 #include "common/shard_annotations.hpp"
 #include "common/stats.hpp"
@@ -87,6 +89,7 @@ class Fabric {
         inject_bits_(plan_),
         shard_tiles_(1),
         node_deflections_(static_cast<std::size_t>(topo.num_nodes()), 0) {
+    // hop_latency >= 2, which the tile protocol's parity outboxes rely on.
     NOCSIM_CHECK(router_latency >= 1 && link_latency >= 1);
   }
   virtual ~Fabric() = default;
@@ -106,29 +109,34 @@ class Fabric {
 
   // ------------------------------------------------------ per-cycle protocol
   //
-  // Every cycle runs these steps in order. The steps that take a tile run
-  // once per tile of the plan; tiles of one step may run concurrently, with
-  // a barrier between steps (the caller provides it):
+  // Every cycle runs these steps in order. Steps 2-4 form one tile task:
+  // they run once per tile of the plan, tiles concurrently, with one
+  // barrier before step 5 (the caller provides it):
   //
   //   1. shard_begin(now)            serial prologue
-  //   2. shard_deliver(now, tile)    link arrivals and credits due now
-  //                                  reach the tile's routers
+  //   2. shard_deliver(now, tile)    apply the outbox writes other tiles
+  //                                  staged for this tile in cycle now-1,
+  //                                  then deliver the link arrivals and
+  //                                  credits due now to the tile's routers
   //   3. can_accept(n) / request_inject(n, flit), for the tile's own nodes
   //   4. shard_route(now, tile)      eject, inject and route the tile's
   //                                  routers; link writes to another tile's
   //                                  router go to a halo outbox
-  //   5. shard_exchange(now, tile)   apply the outbox writes addressed to
-  //                                  this tile
-  //   6. shard_finish(now)           serial: fold the tile counters, replay
+  //   5. shard_finish(now)           serial: fold the tile counters, replay
   //                                  eject statistics and trace events
   //
-  // Every write in steps 2-5 lands in state the running tile owns: its
-  // routers, its bitmap words, its scratch, or its own outboxes. Each tile
-  // records at most one eject per node per cycle, in ascending node order,
-  // and tiles are contiguous node ranges, so concatenating the tile
-  // buffers in tile order is the one-tile order: results are identical for
-  // every tile count. begin_cycle()/step() below run the protocol on the
-  // calling thread.
+  // Outboxes (HaloBoxes) are double-buffered by cycle parity, so no tile
+  // reads an outbox another tile writes in the same task. A write staged in
+  // cycle now-1 lands at now-1 + hop_latency (a flit; hop_latency >= 2, so
+  // after now) or at now (a credit): applying it one cycle late is exact.
+  //
+  // Every write in steps 2-4 lands in state the running tile owns: its
+  // routers, its bitmap words, its scratch, or its outboxes (the ones it
+  // stages into and the ones addressed to it). Each tile records at most
+  // one eject per node per cycle, in ascending node order, and tiles are
+  // contiguous node ranges, so concatenating the tile buffers in tile order
+  // is the one-tile order: results are identical for every tile count.
+  // begin_cycle()/step() below run the protocol on the calling thread.
 
   /// Re-tile the fabric. Only legal on an empty network, before the first
   /// cycle; a no-op for the plan already in use.
@@ -144,12 +152,8 @@ class Fabric {
     NOCSIM_CHECK_MSG(last_begun_ != now, "cycle begun twice");
     last_begun_ = now;
   }
-  virtual void shard_deliver(Cycle now, int tile) {
-    (void)now;
-    (void)tile;
-  }
+  virtual void shard_deliver(Cycle now, int tile) = 0;
   virtual void shard_route(Cycle now, int tile) = 0;
-  virtual void shard_exchange(Cycle now, int tile) = 0;
 
   /// Serial epilogue: fold the per-tile counters into stats_, then replay
   /// the buffered ejections into the order-sensitive accumulators and the
@@ -200,7 +204,7 @@ class Fabric {
   }
 
   /// The protocol on the calling thread, every tile in order, split at the
-  /// injection point: begin_cycle() runs steps 1-2, step() runs 4-6. For
+  /// injection point: begin_cycle() runs steps 1-2, step() runs 4-5. For
   /// fabric tests and micro-benchmarks that drive a fabric directly.
   void begin_cycle(Cycle now) {
     shard_begin(now);
@@ -208,7 +212,6 @@ class Fabric {
   }
   void step(Cycle now) {
     for (int t = 0; t < plan_.tiles(); ++t) shard_route(now, t);
-    for (int t = 0; t < plan_.tiles(); ++t) shard_exchange(now, t);
     shard_finish(now);
   }
 
@@ -272,21 +275,68 @@ class Fabric {
     bool requested = false;
   };
 
-  /// Fixed-capacity outbox for one (src tile, dst tile) pair, backed by the
-  /// src tile's arena. Its capacity is the pair's directed cross-link count
-  /// (link_counts): at most one flit, and one credit, crosses a link per
-  /// cycle.
+  /// Cross-tile staging of one record type: a fixed-capacity outbox per
+  /// (cycle parity, src tile, dst tile), carved from an arena per src tile.
+  /// Route stages into parity now & 1; the dst tile's next deliver drains
+  /// parity (now-1) & 1.
   template <typename T>
-  struct Outbox {
-    T* slots = nullptr;
-    std::uint32_t count = 0;
-    std::uint32_t cap = 0;
-    /// Claim the next slot; the caller fills it.
-    T& next() {
-      NOCSIM_DCHECK(count < cap);
-      return slots[count++];
+  class HaloBoxes {
+   public:
+    /// links = link_counts(): a box's capacity is its tile pair's directed
+    /// link count, as at most one flit, and one credit, crosses a link per
+    /// cycle. A tile's internal links (the diagonal) get no box.
+    void carve(const std::vector<std::uint32_t>& links, std::size_t tiles) {
+      tiles_ = tiles;
+      std::vector<std::uint32_t> cap = links;
+      std::vector<std::size_t> bytes(tiles, 0);
+      for (std::size_t i = 0; i < cap.size(); ++i) {
+        if (i / tiles == i % tiles) cap[i] = 0;
+        bytes[i / tiles] += sets_.size() * Arena::lane_bytes<T>(cap[i]);
+      }
+      arenas_.clear();
+      arenas_.resize(tiles);
+      for (std::size_t t = 0; t < tiles; ++t) arenas_[t].reserve(bytes[t]);
+      for (std::vector<Box>& set : sets_) {
+        set.assign(tiles * tiles, Box{});
+        for (std::size_t i = 0; i < set.size(); ++i)
+          set[i] = {arenas_[i / tiles].alloc_array<T>(cap[i]), 0, cap[i]};
+      }
     }
-    void push(const T& item) { next() = item; }
+    /// Claim the next slot of this cycle's box from src to dst; the caller
+    /// fills it.
+    T& stage(Cycle now, int src, int dst) {
+      Box& b = sets_[now & 1][static_cast<std::size_t>(src) * tiles_ +
+                              static_cast<std::size_t>(dst)];
+      NOCSIM_DCHECK(b.count < b.cap);
+      return b.slots[b.count++];
+    }
+    /// Visit, then empty, what the tiles staged for dst in cycle now-1, in
+    /// src tile order.
+    template <typename F>
+    void drain(Cycle now, int dst, F&& visit) {
+      std::vector<Box>& set = sets_[(now - 1) & 1];  // wraps at cycle 0: all empty
+      for (auto i = static_cast<std::size_t>(dst); i < set.size(); i += tiles_) {
+        for (std::uint32_t k = 0; k < set[i].count; ++k) visit(set[i].slots[k]);
+        set[i].count = 0;
+      }
+    }
+    /// Visit every staged record; between cycles, those not yet drained.
+    template <typename F>
+    void for_each(F&& visit) const {
+      for (const std::vector<Box>& set : sets_)
+        for (const Box& b : set)
+          for (std::uint32_t k = 0; k < b.count; ++k) visit(b.slots[k]);
+    }
+
+   private:
+    struct Box {
+      T* slots = nullptr;
+      std::uint32_t count = 0;
+      std::uint32_t cap = 0;
+    };
+    std::size_t tiles_ = 0;
+    std::vector<Arena> arenas_;             ///< [src tile]
+    std::array<std::vector<Box>, 2> sets_;  ///< [parity][src * tiles + dst]
   };
 
   /// [src tile * tiles + dst tile]: directed links from src's routers to

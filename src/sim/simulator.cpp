@@ -596,14 +596,13 @@ void Simulator::core_tile(int tile) {
 }
 
 void Simulator::step() {
-  // Each team_->run is one tile step on every tile, with a full barrier
-  // after it (the fabric protocol in noc/fabric.hpp). begin_phase tells the
-  // profiler which phase a barrier wait belongs to; the write is serial,
-  // published by the team's epoch release.
+  // One tile task per cycle, then the serial epilogue (the fabric protocol
+  // in noc/fabric.hpp); team_->run's return is the cycle's one barrier.
+  // Core runs right after route in the same task: a core touches only its
+  // own tile's cores, NIs, ejections and L2 wheel.
   fabric_->shard_begin(now_);
-  if (prof_ != nullptr) prof_->begin_phase(phase_.inject);
   team_->run([this](int t) {
-    NOCSIM_PHASE("inject", &plan_, t);
+    NOCSIM_PHASE("tile", &plan_, t);
     std::uint64_t pt0 = prof_begin(prof_);
     fabric_->shard_deliver(now_, t);
     deliver_l2(now_, t);
@@ -611,25 +610,10 @@ void Simulator::step() {
     pt0 = prof_begin(prof_);
     inject_tile(t);
     prof_end(prof_, phase_.inject, t, pt0);
-  });
-  if (prof_ != nullptr) prof_->begin_phase(phase_.route);
-  team_->run([this](int t) {
-    NOCSIM_PHASE("route", &plan_, t);
-    const std::uint64_t pt0 = prof_begin(prof_);
+    pt0 = prof_begin(prof_);
     fabric_->shard_route(now_, t);
     prof_end(prof_, phase_.route, t, pt0);
-  });
-  if (prof_ != nullptr) prof_->begin_phase(phase_.exchange);
-  team_->run([this](int t) {
-    NOCSIM_PHASE("exchange", &plan_, t);
-    const std::uint64_t pt0 = prof_begin(prof_);
-    fabric_->shard_exchange(now_, t);
-    prof_end(prof_, phase_.exchange, t, pt0);
-  });
-  if (prof_ != nullptr) prof_->begin_phase(phase_.core);
-  team_->run([this](int t) {
-    NOCSIM_PHASE("core", &plan_, t);
-    const std::uint64_t pt0 = prof_begin(prof_);
+    pt0 = prof_begin(prof_);
     core_tile(t);
     prof_end(prof_, phase_.core, t, pt0);
   });
@@ -839,12 +823,11 @@ void Simulator::attach_profiler(PhaseProfiler* prof) {
   NOCSIM_CHECK_MSG(prof_ == nullptr, "profiler already attached");
   // Registration order fixes the dense phase ids (and the track order in the
   // merged Chrome trace). Every tile records begin (fabric and L2 delivery),
-  // inject, route, exchange and core once per cycle; tile 0 also records
-  // the serial epilogue.
+  // inject, route and core once per cycle; tile 0 also records the serial
+  // epilogue. The cycle's one barrier follows core, so its waits land there.
   phase_.begin = prof->register_phase("begin");
   phase_.inject = prof->register_phase("inject");
   phase_.route = prof->register_phase("route");
-  phase_.exchange = prof->register_phase("exchange");
   phase_.core = prof->register_phase("core");
   phase_.epilogue = prof->register_phase("epilogue");
   prof->set_tiles(plan_.tiles());
@@ -853,7 +836,7 @@ void Simulator::attach_profiler(PhaseProfiler* prof) {
   // Route the ShardTeam's barrier-spin measurements into the profiler; the
   // probe is picked up by workers with an acquire load, so mid-run attachment
   // is race-free (at worst the very first barrier goes unmeasured).
-  team_->set_probe(prof->team_probe());
+  team_->set_probe(prof->team_probe(phase_.core));
 }
 
 void Simulator::attach_events(EventLog* log) {

@@ -271,7 +271,7 @@ class Simulator {
   // simulated state.
   PhaseProfiler* prof_ NOCSIM_SHARED_READONLY = nullptr;
   struct ProfPhases {
-    int begin = 0, inject = 0, route = 0, exchange = 0, core = 0, epilogue = 0;
+    int begin = 0, inject = 0, route = 0, core = 0, epilogue = 0;
   };
   ProfPhases phase_ NOCSIM_SHARED_READONLY;
   EventLog* events_ NOCSIM_SHARED_READONLY = nullptr;

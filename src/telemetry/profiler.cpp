@@ -34,8 +34,10 @@ void PhaseProfiler::set_tiles(int tiles) {
   probe_.record_wait = &PhaseProfiler::probe_record_wait;
 }
 
-const ShardTeamProbe* PhaseProfiler::team_probe() {
+const ShardTeamProbe* PhaseProfiler::team_probe(int wait_phase) {
   NOCSIM_CHECK_MSG(probe_.ctx == this, "team_probe requires set_tiles first");
+  NOCSIM_CHECK(wait_phase >= 0 && wait_phase < num_phases());
+  wait_phase_ = wait_phase;
   return &probe_;
 }
 
@@ -44,7 +46,7 @@ std::uint64_t PhaseProfiler::probe_now(void*) { return now_ns(); }
 void PhaseProfiler::probe_record_wait(void* self, int tile, std::uint64_t ns) {
   auto* p = static_cast<PhaseProfiler*>(self);
   if (!p->enabled_) return;
-  p->record_wait(p->cur_phase_, tile, ns);
+  p->record_wait(p->wait_phase_, tile, ns);
 }
 
 void PhaseProfiler::tick(Cycle cycle) {

@@ -2,7 +2,7 @@
 //
 // The simulator registers a small fixed set of phases ("begin", "route",
 // ...) and brackets each phase body with prof_begin/prof_end; the ShardTeam
-// barriers report per-tile wait time through a ShardTeamProbe. The result
+// barrier reports per-tile wait time through a ShardTeamProbe. The result
 // is a PhaseProfile — per phase x tile: {count, total/min/max ns, barrier
 // wait ns} — written as JSON next to bench output and mergeable into the
 // ChromeTracer trace as counter/slice tracks (pid 1, "nocsim host").
@@ -82,13 +82,10 @@ class PhaseProfiler {
 
   void record_wait(int phase, int tile, std::uint64_t ns) { slot(phase, tile).wait_ns += ns; }
 
-  /// Set the phase that subsequent barrier waits are attributed to. Must be
-  /// called from the serial section before the team run it describes.
-  void begin_phase(int phase) { cur_phase_ = phase; }
-
-  /// ShardTeam probe wired to this profiler: barrier waits land in the
-  /// current begin_phase() bucket. Valid for the profiler's lifetime.
-  [[nodiscard]] const ShardTeamProbe* team_probe();
+  /// ShardTeam probe wired to this profiler: every barrier wait lands in
+  /// `wait_phase` (the cycle loop has one barrier, after its last tile
+  /// step). Valid for the profiler's lifetime.
+  [[nodiscard]] const ShardTeamProbe* team_probe(int wait_phase);
 
   /// Snapshot per-phase compute/wait deltas since the previous tick as one
   /// Sample stamped with `cycle`. Serial sections only.
@@ -121,7 +118,7 @@ class PhaseProfiler {
 
   bool enabled_ = false;
   int tiles_ = 1;
-  int cur_phase_ = 0;
+  int wait_phase_ = 0;  ///< phase the team probe records barrier waits on
   std::vector<std::string> names_;
   std::vector<PhaseStat> stats_;  ///< phase-major, tiles_ slots per phase
   ShardTeamProbe probe_{};

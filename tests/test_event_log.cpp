@@ -17,6 +17,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -215,6 +216,42 @@ TEST(Watchdog, FlitAgeTripsOnALoadedMeshWithATinyThreshold) {
   sim.run();
   EXPECT_GT(log.count_of(SimEventKind::WatchdogFlitAge), 0u);
   EXPECT_GE(sim.max_flit_age_watermark(), c.watchdog.max_flit_age);
+}
+
+// Between cycles a flit whose last hop crossed a tile boundary waits in a
+// halo outbox until the target tile's next deliver. The oldest-flit scan
+// must see it there: a scan that missed it would read a younger oldest
+// flit on some checks, and with a per-cycle check near the typical age
+// the edge-triggered events would then depend on the tiling.
+TEST(Watchdog, WatermarkIsIdenticalAtEveryShardCount) {
+  for (const RouterKind router : {RouterKind::Bless, RouterKind::Buffered}) {
+    const auto run = [router](int shards) {
+      WorkloadSpec wl;
+      SimConfig c = hotspot_config(wl);
+      c.router = router;
+      c.shards = shards;
+      c.warmup_cycles = 1'000;
+      c.measure_cycles = 4'000;
+      c.watchdog.enabled = true;
+      c.watchdog.period = 1;
+      c.watchdog.max_flit_age = router == RouterKind::Bless ? 40 : 60;
+      Simulator sim(c, wl);
+      EventLog log;
+      sim.attach_events(&log);
+      sim.run();
+      EXPECT_GT(log.count_of(SimEventKind::WatchdogFlitAge), 1u)
+          << "the threshold never toggled: the comparison below would be vacuous";
+      std::ostringstream out;
+      log.write_csv(out);
+      return std::pair{sim.max_flit_age_watermark(), out.str()};
+    };
+    const auto one = run(1);
+    for (const int shards : {2, 4, 7}) {
+      const auto got = run(shards);
+      EXPECT_EQ(got.first, one.first) << "watermark at --shards " << shards;
+      EXPECT_EQ(got.second, one.second) << "watchdog events at --shards " << shards;
+    }
+  }
 }
 
 TEST(Watchdog, BlockedStreakTripsUnderHarshDeterministicThrottling) {

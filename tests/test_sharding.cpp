@@ -161,6 +161,17 @@ SimConfig scenario_config(const std::string& name, WorkloadSpec& wl) {
     c.seed = 7;
     Rng rng(21);
     wl = make_category_workload("HML", 64, rng);
+  } else if (name == "bless_irregular8" || name == "buffered_irregular8") {
+    // A graph file: 1-wide node-id strips, so 7 shards give 1-2 routers a
+    // tile and the express chord 2<->5 crosses tiles at every tiling.
+    c.topology = "irregular";
+    c.topology_file = NOCSIM_EXAMPLE_TOPO;
+    c.width = 8;
+    c.height = 1;
+    if (name == "buffered_irregular8") c.router = RouterKind::Buffered;
+    c.seed = 4;
+    Rng rng(40);
+    wl = make_category_workload("HM", 8, rng);
   } else {
     ADD_FAILURE() << "unknown shard scenario " << name;
   }
@@ -191,7 +202,9 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, ShardedByteIdentity,
                                            ShardScenario{"bless_mesh3d_4x4x2"},
                                            ShardScenario{"cmesh_4x4"},
                                            ShardScenario{"throttled_static_4x4"},
-                                           ShardScenario{"central_cc_8x8"}),
+                                           ShardScenario{"central_cc_8x8"},
+                                           ShardScenario{"bless_irregular8"},
+                                           ShardScenario{"buffered_irregular8"}),
                          [](const auto& inf) { return std::string(inf.param.name); });
 
 // The telemetry time series — every per-epoch sigma/IPF/throttle-rate/
@@ -340,12 +353,13 @@ TEST(ShardedDeterminism, DistributedCcMatchesOneTileAtEveryShardCount) {
 }
 
 // --- runtime shadow checker (common/shard_check.hpp) -----------------------
-// Drive the bless fabric to stage a genuine cross-tile halo write, then
-// apply the *destination* tile's inbox while claiming (via the phase scope)
-// to be the source tile. Under NOCSIM_SHARD_CHECK that apply writes a
-// node the claimed tile does not own and must abort; in a release build the
-// identical sequence runs to completion — the apply itself is a perfectly
-// valid halo delivery, only its attribution is corrupted.
+// Drive the bless fabric to stage a genuine cross-tile halo write in cycle
+// 0, then run the *destination* tile's cycle-1 deliver, which applies it,
+// while claiming (via the phase scope) to be the source tile. Under
+// NOCSIM_SHARD_CHECK that apply writes a node the claimed tile does not own
+// and must abort; in a release build the identical sequence runs to
+// completion — the apply itself is a perfectly valid halo delivery, only
+// its attribution is corrupted.
 void drive_corrupted_halo_apply() {
   Mesh mesh(4, 4);
   const ShardPlan plan(4, 4, 2);  // tile 0: nodes 0-7, tile 1: nodes 8-15
@@ -355,22 +369,24 @@ void drive_corrupted_halo_apply() {
 
   // A flit at node 4 = (0,1) headed for node 12 = (0,3): its first hop
   // lands on node 8 = (0,2), which tile 1 owns, so routing tile 0 stages a
-  // HaloWrite in halo_[0][1] instead of touching tile 1's latches.
+  // HaloWrite in the cycle-0 outbox from tile 0 to tile 1 instead of
+  // touching tile 1's latches.
   Flit f;
   f.src = 4;
   f.dst = 12;
-  const Cycle now = 0;
-  fabric.shard_begin(now);
+  fabric.shard_begin(0);
   ASSERT_TRUE(fabric.can_accept(4));
   fabric.request_inject(4, f);
   {
     NOCSIM_PHASE("route", &plan, 0);
-    fabric.shard_route(now, 0);
+    fabric.shard_route(0, 0);
   }
+  fabric.shard_finish(0);
+  fabric.shard_begin(1);
   {
     // The corruption: tile 1's inbox applied under tile 0's identity.
-    NOCSIM_PHASE("exchange", &plan, 0);
-    fabric.shard_exchange(now, 1);
+    NOCSIM_PHASE("deliver", &plan, 0);
+    fabric.shard_deliver(1, 1);
   }
 }
 
